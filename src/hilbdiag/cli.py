@@ -245,10 +245,16 @@ def _weights_from_monomial_diagonal(mats, d, n):
     return weights, consts
 
 
+def load_matrix_file(path):
+    """The matrix list of a JSON file, bare or under "matrices"; decimals
+    are read as exact Fractions (0.1 is 1/10)."""
+    with open(path) as fh:
+        data = json.load(fh, parse_float=Fraction)
+    return data["matrices"] if isinstance(data, dict) else data
+
+
 def cmd_deligne(args):
-    with open(args.matrices) as fh:
-        data = json.load(fh)
-    mats_raw = data["matrices"] if isinstance(data, dict) else data
+    mats_raw = load_matrix_file(args.matrices)
     n = len(mats_raw)
     d = len(mats_raw[0])
     mats = groebner.load_matrices_json(mats_raw, d, n)
@@ -302,11 +308,8 @@ def cmd_collineations(args):
 
 
 def cmd_lafforgue(args):
-    with open(args.matrices) as fh:
-        data = json.load(fh)
-    mats_raw = data["matrices"] if isinstance(data, dict) else data
-    mats = [[[Fraction(x) if not isinstance(x, str) else Fraction(x)
-              for x in row] for row in mat] for mat in mats_raw]
+    mats = [[[Fraction(x) for x in row] for row in mat]
+            for mat in load_matrix_file(args.matrices)]
     coords = embeddings.lafforgue_coordinates(mats)
     emit_json({"types": [{"type": list(t), "minors": vec}
                          for t, vec in sorted(coords.items())]})
@@ -350,10 +353,12 @@ def main(argv=None) -> int:
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_h33)
 
-    p = sub.add_parser("tangent", help="tangent space dimension at a monomial "
-                                       "ideal, or the explicit chain basis")
-    p.add_argument("--ideal", help="JSON file with the ideal")
-    p.add_argument("--basis", help="emit a named basis (chain)")
+    p = tangent_parser = sub.add_parser(
+        "tangent", help="tangent space dimension at a monomial ideal, or "
+                        "the explicit chain basis")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ideal", help="JSON file with the ideal")
+    source.add_argument("--basis", help="emit a named basis (chain)")
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
     p.set_defaults(fn=cmd_tangent)
@@ -365,8 +370,9 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_deligne)
 
-    p = sub.add_parser("gin", help="seeded initial-ideal sampling of "
-                                   "transformed minor ideals")
+    p = gin_parser = sub.add_parser("gin", help="seeded initial-ideal "
+                                                "sampling of transformed "
+                                                "minor ideals")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
@@ -389,6 +395,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify_all)
 
     args = parser.parse_args(argv)
+    if args.fn is cmd_tangent and args.basis and None in (args.d, args.n):
+        tangent_parser.error("--basis needs --d and --n")
+    if args.fn is cmd_gin and min(args.d, args.n) < 2:
+        # one row or one column has no 2x2 minors
+        gin_parser.error("--d and --n must be at least 2")
     return args.fn(args)
 
 

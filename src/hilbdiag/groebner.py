@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add, le, mul, sub
 from random import Random
 
 from .gridcore import (Monomial, MonomialIdeal, all_grid_vars,
@@ -280,15 +282,24 @@ class RatPoly:
 
 
 class TermOrder:
-    """Weight order refined by lex; optional leading elimination block."""
+    """Weight order refined by lex; optional leading elimination block.
+
+    Rational weights are scaled by the lcm of their denominators and kept
+    as ints: a positive scale leaves the order unchanged, and keys then
+    cost only integer arithmetic.
+    """
 
     __slots__ = ("ring", "weights", "elim")
 
     def __init__(self, ring, weights=None, elim=()):
         self.ring = ring
-        self.weights = tuple(Fraction(w) for w in weights) if weights else None
-        if self.weights and len(self.weights) != ring.nvars:
-            raise ValueError("weight vector length mismatch")
+        self.weights = None
+        if weights:
+            fracs = [Fraction(w) for w in weights]
+            if len(fracs) != ring.nvars:
+                raise ValueError("weight vector length mismatch")
+            scale = lcm(*(w.denominator for w in fracs))
+            self.weights = tuple(int(w * scale) for w in fracs)
         self.elim = tuple(sorted(elim))
 
     def key(self, exps):
@@ -296,8 +307,19 @@ class TermOrder:
         if self.elim:
             parts.append(sum(exps[k] for k in self.elim))
         if self.weights:
-            parts.append(sum(w * e for w, e in zip(self.weights, exps)))
+            parts.append(sum(map(mul, self.weights, exps)))
         parts.append(exps)
+        return tuple(parts)
+
+    def neg_key(self, exps):
+        """The key with every entry negated: a min-heap on it pops the
+        largest monomial first."""
+        parts = []
+        if self.elim:
+            parts.append(-sum(exps[k] for k in self.elim))
+        if self.weights:
+            parts.append(-sum(map(mul, self.weights, exps)))
+        parts.append(tuple(-e for e in exps))
         return tuple(parts)
 
     def leading_term(self, f: RatPoly):
@@ -307,7 +329,7 @@ class TermOrder:
     def weight_of(self, exps):
         if not self.weights:
             return 0
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def weight_decisive(self, f: RatPoly) -> bool:
         """Whether the weight vector alone picks f's leading monomial."""
@@ -330,30 +352,43 @@ def _divides(a, b):
 
 
 def normal_form(f: RatPoly, basis, order: TermOrder) -> RatPoly:
-    """Fully reduce f modulo a list of (lt, lc, terms) triples."""
-    key = order.key
+    """Fully reduce f modulo a list of (lt, lc, terms) triples.
+
+    The work terms sit in a heap keyed once per monomial.  A reduction
+    step only adds monomials below the one it reduces, so popping in key
+    order visits the work terms largest first; an entry whose monomial
+    has since cancelled out of `work` is skipped.
+    """
+    neg_key = order.neg_key
     work = dict(f.terms)
+    heap = [(neg_key(m), m) for m in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        reduced = False
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for lt, lc, terms in basis:
-            if _divides(lt, m):
-                q = tuple(a - b for a, b in zip(m, lt))
+            if all(map(le, lt, m)):
+                q = tuple(map(sub, m, lt))
                 scale = c / lc
                 for mg, cg in terms.items():
                     if mg == lt:
                         continue
-                    w = tuple(a + b for a, b in zip(mg, q))
-                    v = work.get(w, 0) - scale * cg
-                    if v:
-                        work[w] = v
+                    w = tuple(map(add, mg, q))
+                    v = work.get(w)
+                    if v is None:
+                        work[w] = -scale * cg
+                        heapq.heappush(heap, (neg_key(w), w))
                     else:
-                        work.pop(w, None)
-                reduced = True
+                        v -= scale * cg
+                        if v:
+                            work[w] = v
+                        else:
+                            del work[w]
                 break
-        if not reduced:
+        else:
             rem[m] = c
     return RatPoly(f.ring, rem)
 
@@ -699,18 +734,23 @@ def _flatten_weights(weights, d, n):
 # seeded sampling
 
 def random_invertible(d, rng: Random, shape="full"):
-    """Random integer matrix with entries in [-9, 9] and nonzero determinant.
+    """Random integer matrix with nonzero determinant.
 
-    shape = "full" for arbitrary invertible, "borel" for the triangular
-    group stabilizing the distinguished ideal under the column action
-    (zero above the diagonal, nonzero diagonal).
+    shape = "full" for arbitrary invertible, entries in [-9, 9];
+    "borel" for the triangular group stabilizing the distinguished ideal
+    under the column action (zero above the diagonal), entries with
+    |a| <= 10**6 and a nonzero diagonal.  The wide range makes triangular
+    draws generic: a nonzero polynomial of degree k in the entries
+    vanishes at such a draw with probability at most k / (2 * 10**6)
+    (Schwartz-Zippel), whereas entries in [-9, 9] miss the generic
+    initial ideal in about one 3x3 trial in 36.
     """
     while True:
         if shape == "full":
             mat = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
         elif shape == "borel":
-            mat = [[rng.randint(-9, 9) if i > j else
-                    (rng.choice([x for x in range(-9, 10) if x]) if i == j else 0)
+            mat = [[rng.randint(-10 ** 6, 10 ** 6) if i > j else
+                    (rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) if i == j else 0)
                     for j in range(d)] for i in range(d)]
         else:
             raise ValueError("unknown shape %r" % shape)
@@ -720,7 +760,11 @@ def random_invertible(d, rng: Random, shape="full"):
 
 def random_weights(d, n, rng: Random, hierarchic=False):
     """Generic integer weights; hierarchic draws keep each column strictly
-    decreasing down the rows (so the order refines the row filtration)."""
+    decreasing down the rows (so the order refines the row filtration).
+
+    Row-refining weights alone do not force the distinguished ideal: that
+    also needs generic triangular matrices (see random_invertible).
+    """
     while True:
         w = [[rng.randint(1, 10 ** 6) for _ in range(n)] for _ in range(d)]
         cols = [[w[i][j] for i in range(d)] for j in range(n)]
@@ -764,9 +808,11 @@ def gin_sample(d, n, trials, seed, borel_trials=None) -> GinReport:
     """Seeded sampling of initial ideals of transformed minors.
 
     Generic invertible tuples must give squarefree initial ideals with
-    the scheme's Hilbert series; tuples from the stabilizing triangular
-    group with row-refining weights must reproduce the distinguished
-    Borel-fixed ideal exactly.
+    the scheme's Hilbert series.  Generic tuples from the stabilizing
+    triangular group, under row-refining weights, must reproduce the
+    distinguished Borel-fixed ideal exactly; genericity comes from the
+    wide entry range of random_invertible's "borel" shape, not from the
+    weights.
     """
     from .borel import build_z
     rng = Random(seed)
@@ -857,8 +903,6 @@ _TERM_RE = re.compile(r"""\s*([+-]?)\s*            # sign
 def parse_z_poly(text, ring):
     """Parse strings like "z^2-3/2*z+1" into a polynomial of `ring`
     (which must contain the variable z)."""
-    if isinstance(text, (int, float)):
-        return _entry_poly(Fraction(text), ring)
     text = text.strip()
     if not text:
         raise ValueError("empty entry")

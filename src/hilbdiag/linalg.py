@@ -49,7 +49,3 @@ def rank_sparse(rows) -> int:
 def rank_dense(matrix) -> int:
     """Rank of a dense matrix (list of rows of numbers)."""
     return rank_sparse({j: v for j, v in enumerate(r) if v} for r in matrix)
-
-
-def nullity_sparse(rows, nunknowns: int) -> int:
-    return nunknowns - rank_sparse(rows)

@@ -137,7 +137,8 @@ def check_chain_tangent() -> CheckResult:
 
 
 def check_tree_space() -> CheckResult:
-    """Counts, tangent formula against linear algebra, smoothness, moves."""
+    """Counts, tangent formula against linear algebra, smoothness, moves,
+    and Z as the only Borel-fixed tree ideal for each n <= 5."""
     def body(details):
         ok = True
         expected = {2: 4, 3: 32, 4: 400, 5: 6912}
@@ -159,6 +160,14 @@ def check_tree_space() -> CheckResult:
                     details.append("smoothness mismatch at n=%d: %r" % (n, t))
                     ok = False
                     break
+        for n in range(2, 6):
+            fixed = [i for i in map(treespace.tree_to_ideal,
+                                    treespace.enumerate_trees(n))
+                     if borel.is_borel_fixed(i)]
+            if fixed != [borel.build_z(2, n)]:
+                details.append("%d Borel-fixed tree ideals at n=%d, want "
+                               "only Z" % (len(fixed), n))
+                ok = False
         g3 = treespace.moves_graph(3)
         if len(g3.nodes) != 32:
             details.append("moves graph has %d nodes" % len(g3.nodes))
@@ -169,13 +178,15 @@ def check_tree_space() -> CheckResult:
             ok = False
         if ok:
             details.append("counts 4/32/400/6912, tangents for 7348 trees, "
+                           "Z the only Borel-fixed tree ideal, "
                            "24 swap edges at n=3")
         return ok
     return _run("tree-space", body)
 
 
 def check_h33_census() -> CheckResult:
-    """13824 complexes, 16 classes, published class data, series membership."""
+    """13824 complexes, 16 classes, published class data, series membership,
+    and Z as the only Borel-fixed census ideal."""
     def body(details):
         ok = True
         census = h33.enumerate_h33()
@@ -194,15 +205,23 @@ def check_h33_census() -> CheckResult:
             details.append("class data differ from the published census")
             ok = False
         bad = 0
+        fixed = []
         for cx in census:
-            if not series_equals_diagonal(h33.complex_to_ideal(cx)):
+            ideal = h33.complex_to_ideal(cx)
+            if not series_equals_diagonal(ideal):
                 bad += 1
+            if borel.is_borel_fixed(ideal):
+                fixed.append(ideal)
         if bad:
             details.append("%d ideals fail the series test" % bad)
             ok = False
+        if fixed != [borel.build_z(3, 3)]:
+            details.append("%d Borel-fixed census ideals, want only Z"
+                           % len(fixed))
+            ok = False
         if ok:
             details.append("13824 ideals, 16 classes, class data match, "
-                           "all series-equal")
+                           "all series-equal, Z the only Borel-fixed one")
         return ok
     return _run("h33-census", body)
 

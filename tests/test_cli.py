@@ -125,6 +125,30 @@ def test_lafforgue(tmp_path, capsys):
     assert sum(len(t["minors"]) for t in data["types"]) == 6
 
 
+def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
+    path = tmp_path / "mats.json"
+    path.write_text("[[[1, 0], [0, 1]], [[-0.1, 2], [3, 4]]]")
+    code, out = run_cli(capsys, "lafforgue", "--matrices", str(path))
+    minors = {tuple(t["type"]): t["minors"] for t in json.loads(out)["types"]}
+    assert code == 0
+    assert minors[(1, 1)] == [3, 4, "1/10", -2]
+    assert minors[(0, 2)] == ["-32/5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangent"],
+    ["tangent", "--basis", "chain"],
+    ["gin", "--d", "1", "--n", "3"],
+    ["gin", "--d", "3", "--n", "1"],
+])
+def test_bad_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_h33_csv(tmp_path, capsys):
     out_csv = tmp_path / "table.csv"
     code, out = run_cli(capsys, "h33", "--table1", "--csv", str(out_csv))

@@ -9,13 +9,15 @@ import pytest
 from hilbdiag.borel import build_z
 from hilbdiag.gridcore import (Monomial, MonomialIdeal, hf_at,
                                series_equals_diagonal)
-from hilbdiag.groebner import (IndecisiveWeights, TermOrder, alexander_dual,
-                               apply_matrices, buchberger, fiber_monomial_ideal,
-                               gin_sample, graded_piece_dim, grid_ring,
-                               initial_ideal, intersect, is_groebner,
-                               lex_order, load_matrices_json, matrix_det,
-                               minors_ideal, parse_z_poly, random_invertible,
-                               saturate_z, special_fiber, weight_initial_route)
+from hilbdiag.groebner import (IndecisiveWeights, RatPoly, TermOrder,
+                               alexander_dual, apply_matrices, buchberger,
+                               fiber_monomial_ideal, gin_sample,
+                               graded_piece_dim, grid_ring, initial_ideal,
+                               intersect, is_groebner, lex_order,
+                               load_matrices_json, matrix_det, minors_ideal,
+                               normal_form, parse_z_poly, random_invertible,
+                               random_weights, saturate_z, special_fiber,
+                               weight_initial_route)
 from hilbdiag.tangent import chain_ideal
 from hilbdiag.treespace import enumerate_trees, tree_to_ideal
 
@@ -108,6 +110,98 @@ def test_buchberger_transformed_is_groebner():
     assert is_groebner(gb, order)
 
 
+def test_fraction_weights_order_like_scaled_integers():
+    # denominators 2, 5, 3 and 7: the order scales them away, and integer
+    # weights with a different positive scale give the same basis
+    rng = Random(8)
+    R = grid_ring(3, 3)
+    gens = apply_matrices([random_invertible(3, rng) for _ in range(3)],
+                          minors_ideal(3, 3, R))
+    fracs = [Fraction(7, 2), Fraction(12, 5), Fraction(23, 3), Fraction(1, 7),
+             Fraction(5, 2), Fraction(41, 5), Fraction(2, 3), 9, Fraction(13, 7)]
+    order = TermOrder(R, weights=fracs)
+    assert all(type(w) is int for w in order.weights)
+    ints = TermOrder(R, weights=[int(w * 2 * 210) for w in fracs])
+    gb = buchberger(gens, order)
+    assert gb == buchberger(gens, ints)
+    assert is_groebner(gb, order)
+
+
+def _reference_normal_form(f, basis, order):
+    """normal_form as a rescan: reduce the largest work term, found by max."""
+    work = dict(f.terms)
+    rem = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for lt, lc, terms in basis:
+            if all(a <= b for a, b in zip(lt, m)):
+                q = tuple(a - b for a, b in zip(m, lt))
+                for mg, cg in terms.items():
+                    if mg != lt:
+                        w = tuple(a + b for a, b in zip(mg, q))
+                        v = work.get(w, 0) - c / lc * cg
+                        if v:
+                            work[w] = v
+                        else:
+                            work.pop(w, None)
+                break
+        else:
+            rem[m] = c
+    return RatPoly(f.ring, rem)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_normal_form_matches_rescan(seed):
+    rng = Random(seed)
+    R = grid_ring(3, 3)
+    gens = apply_matrices([random_invertible(3, rng) for _ in range(3)],
+                          minors_ideal(3, 3, R))
+    weights = [w for row in random_weights(3, 3, rng) for w in row]
+    for order in (TermOrder(R, weights=weights), lex_order(R)):
+        # reduce both modulo the raw generators, where the result depends
+        # on the reduction path, and modulo the reduced basis
+        for polys in (gens, buchberger(gens, order)):
+            basis = [order.leading_term(g) + (g.terms,) for g in polys]
+            for _ in range(4):
+                f = R.zero()
+                for g in rng.sample(gens, 3):
+                    mult = R.one() * rng.randint(-5, 5)
+                    for _ in range(rng.randint(0, 2)):
+                        mult = mult * R.grid_var(rng.randint(1, 3),
+                                                 rng.randint(1, 3))
+                    f = f + mult * g
+                f = f + R.grid_var(1, 2) * R.grid_var(3, 3) * Fraction(2, 3)
+                assert normal_form(f, basis, order) == \
+                    _reference_normal_form(f, basis, order)
+
+
+def _sympy_reduced_basis(sympy, gens, ring):
+    """Reduced lex basis by sympy, as monic {exps: Fraction} dicts."""
+    syms = sympy.symbols(ring.names)
+    polys = [sympy.Poly.from_dict(
+        {m: sympy.Rational(c.numerator, c.denominator)
+         for m, c in g.terms.items()}, *syms, domain=sympy.QQ) for g in gens]
+    out = []
+    for g in sympy.groebner(polys, *syms, order="lex", domain=sympy.QQ).polys:
+        terms = {m: Fraction(int(c.numerator), int(c.denominator))
+                 for m, c in g.as_dict().items()}
+        lc = terms[max(terms)]
+        out.append({m: c / lc for m, c in terms.items()})
+    return sorted(sorted(t.items()) for t in out)
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 3, 4), (2, 3, 5), (3, 3, 6)])
+def test_buchberger_matches_sympy_lex(d, n, seed):
+    sympy = pytest.importorskip("sympy")
+    rng = Random(seed)
+    R = grid_ring(d, n)
+    gens = apply_matrices([random_invertible(d, rng) for _ in range(n)],
+                          minors_ideal(d, n, R))
+    ours = sorted(sorted(g.terms.items()) for g in buchberger(gens, lex_order(R)))
+    assert ours == _sympy_reduced_basis(sympy, gens, R)
+
+
 def test_intersect_examples():
     R = grid_ring(2, 2)
     x1, x2 = R.grid_var(1, 1), R.grid_var(1, 2)
@@ -177,6 +271,38 @@ def test_gin_sample_small():
     assert rep.all_ok
     kinds = [t.kind for t in rep.trials]
     assert kinds.count("generic") == 6 and kinds.count("borel") == 3
+
+
+def test_random_invertible_shapes():
+    # the full shape keeps its [-9, 9] draws, which pin the collineation
+    # outputs; the triangular shape draws wide entries
+    assert random_invertible(3, Random(0)) == [[3, 4, -8], [-1, 7, 6], [3, 0, 6]]
+    rng = Random(1)
+    for _ in range(20):
+        mat = random_invertible(3, rng, "borel")
+        assert all(mat[i][j] == 0 for i in range(3) for j in range(i + 1, 3))
+        assert all(mat[i][i] for i in range(3))
+        assert all(abs(x) <= 10 ** 6 for row in mat for x in row)
+    with pytest.raises(ValueError):
+        random_invertible(3, rng, "upper")
+
+
+@pytest.mark.parametrize("trial_seed",
+                         [54, 60, 84, 96, 109, 170, 209, 275, 5000011,
+                          14000005])
+def test_triangular_trial_reproduces_z(trial_seed):
+    # the draw sequence of a triangular trial of the gins benchmark
+    # workload; with entries in [-9, 9] these trials missed Z
+    rng = Random(trial_seed)
+    mats = [random_invertible(3, rng, "borel") for _ in range(3)]
+    for _ in range(21):
+        try:
+            ideal = weight_initial_route(
+                random_weights(3, 3, rng, hierarchic=True), mats, 3, 3)
+            break
+        except IndecisiveWeights:
+            continue
+    assert ideal == build_z(3, 3)
 
 
 def test_alexander_dual_examples():
