@@ -51,10 +51,6 @@ def build_z(d: int, n: int) -> MonomialIdeal:
     covering choices in which every column is necessary.
     """
     us = u_set(d, n)
-    if not us or all(v == 0 for v in us[0]) and len(us) == 1:
-        # only u = 0: its prime is the zero ideal, so the intersection is too
-        if us == [(0,) * n]:
-            return MonomialIdeal(d, n, [])
     nu = len(us)
     full = (1 << nu) - 1
     # cover_mask[j][a] = set of u's hit by taking row a in column j

@@ -2,7 +2,9 @@
 
 All output is deterministic for fixed flags and seeds: JSON uses sorted
 keys and canonical generator order, DOT and CSV iterate sorted
-structures.  Exit code is nonzero when a verification fails.
+structures.  Exit code is nonzero when a verification fails; bad input
+(a missing or malformed file, a singular matrix) ends in one
+`hilbdiag: error:` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ def emit_json(data, stream=None):
     (stream or sys.stdout).write("\n")
 
 
-def ideal_json(ideal: MonomialIdeal) -> dict:
-    return ideal.to_json()
-
-
 def tree_dot(tree: treespace.Tree) -> str:
     lines = ["digraph tree {"]
     for k, (t, h) in enumerate(tree.edges):
@@ -42,41 +40,13 @@ def tree_dot(tree: treespace.Tree) -> str:
     return "\n".join(lines)
 
 
-def emit(obj, fmt: str) -> str:
-    """Deterministic serialization of the core objects.
-
-    Ideals and K-polynomials emit JSON, trees emit DOT digraphs or JSON,
-    class tables emit CSV with header class,tangent,planar,symm,orbit.
-    """
-    if isinstance(obj, MonomialIdeal):
-        if fmt == "json":
-            return json.dumps(obj.to_json(), sort_keys=True, indent=2)
-        if fmt == "text":
-            return ", ".join(g.to_str(obj.d) for g in obj.gens) or "0"
-    elif hasattr(obj, "terms") and hasattr(obj, "specialize"):  # KPolynomial
-        if fmt == "json":
-            return json.dumps(obj.to_json(), sort_keys=True, indent=2)
-        if fmt == "text":
-            return repr(obj)
-    elif isinstance(obj, treespace.Tree):
-        if fmt == "dot":
-            return tree_dot(obj)
-        if fmt == "json":
-            return json.dumps({"edges": [list(e) for e in obj.edges]},
-                              sort_keys=True)
-    elif isinstance(obj, treespace.MovesGraph):
-        if fmt == "dot":
-            return moves_graph_dot(obj)
-    elif isinstance(obj, h33.Table1Report):
-        if fmt == "csv":
-            rows = ["class,tangent,planar,symm,orbit"]
-            for k, r in enumerate(obj.rows, start=1):
-                rows.append("%d,%d,%s,%d,%d" % (k, r.tangent,
-                                                "y" if r.planar else "n",
-                                                r.stabilizer_order,
-                                                r.orbit_size))
-            return "\n".join(rows)
-    raise ValueError("unsupported format %r for %s" % (fmt, type(obj).__name__))
+def table1_csv(report: h33.Table1Report) -> str:
+    """The class table as CSV with header class,tangent,planar,symm,orbit."""
+    rows = ["class,tangent,planar,symm,orbit"]
+    for k, r in enumerate(report.rows, start=1):
+        rows.append("%d,%d,%s,%d,%d" % (k, r.tangent, "y" if r.planar else "n",
+                                        r.stabilizer_order, r.orbit_size))
+    return "\n".join(rows)
 
 
 def moves_graph_dot(graph: treespace.MovesGraph) -> str:
@@ -99,7 +69,7 @@ def cmd_borel(args):
     z = borel.build_z(args.d, args.n)
     if args.json:
         data = {
-            "ideal": ideal_json(z),
+            "ideal": z.to_json(),
             "u_set": [list(u) for u in borel.u_set(args.d, args.n)],
             "h_polynomial": list(borel.h_closed_form(args.d, args.n)),
             "multidegree": multidegree_of_ideal(z).to_json(),
@@ -133,7 +103,7 @@ def cmd_trees(args):
             data = {
                 "n": args.n,
                 "node_count": len(keys),
-                "nodes": [ideal_json(treespace.tree_to_ideal(graph.nodes[k]))
+                "nodes": [treespace.tree_to_ideal(graph.nodes[k]).to_json()
                           for k in keys],
                 "edges": [
                     {"ends": sorted(pos[k] for k in e),
@@ -146,7 +116,7 @@ def cmd_trees(args):
         return 0
     if args.ideals:
         emit_json({"count": len(trees),
-                   "ideals": [ideal_json(treespace.tree_to_ideal(t))
+                   "ideals": [treespace.tree_to_ideal(t).to_json()
                               for t in trees]})
         return 0
     print("%d trees with %d labeled directed edges" % (len(trees), args.n))
@@ -165,7 +135,7 @@ def cmd_h33(args):
             print("  orbit=%d stabilizer=%d" % (c.orbit_size, c.stabilizer_order))
     if args.table1:
         report = h33.table1_report(classes)
-        text = emit(report, "csv")
+        text = table1_csv(report)
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write(text + "\n")
@@ -261,7 +231,7 @@ def cmd_deligne(args):
     if args.route == "weight":
         weights, consts = _weights_from_monomial_diagonal(mats, d, n)
         ideal = groebner.weight_initial_route(weights, consts, d, n)
-        emit_json({"route": "weight", "ideal": ideal_json(ideal),
+        emit_json({"route": "weight", "ideal": ideal.to_json(),
                    "squarefree": ideal.is_squarefree()})
         return 0
     fiber = groebner.special_fiber(mats, d, n)
@@ -269,7 +239,7 @@ def cmd_deligne(args):
            "generators": [g.pretty() for g in fiber]}
     try:
         ideal = groebner.fiber_monomial_ideal(fiber, d, n)
-        out["ideal"] = ideal_json(ideal)
+        out["ideal"] = ideal.to_json()
         out["squarefree"] = ideal.is_squarefree()
     except ValueError:
         out["squarefree"] = False
@@ -367,7 +337,6 @@ def main(argv=None) -> int:
                                        "family, by saturation or weights")
     p.add_argument("--matrices", required=True)
     p.add_argument("--route", choices=("sat", "weight"), default="sat")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_deligne)
 
     p = gin_parser = sub.add_parser("gin", help="seeded initial-ideal "
@@ -400,7 +369,11 @@ def main(argv=None) -> int:
     if args.fn is cmd_gin and min(args.d, args.n) < 2:
         # one row or one column has no 2x2 minors
         gin_parser.error("--d and --n must be at least 2")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        # bad input: missing or malformed files, singular matrices
+        parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
 
 
 if __name__ == "__main__":

@@ -70,53 +70,6 @@ def collineation_matrices(A) -> CollineationMatrices:
         rank_first=rank_dense(m1), rank_second=rank_dense(m2))
 
 
-def collineation_matrices_generated(A) -> CollineationMatrices:
-    """Same matrices built by actual polynomial multiplication; transcription
-    guard for the structural builder."""
-    A = _frac_matrix(A)
-    ring = groebner.grid_ring(3, 2)
-    gens = []
-    for r in range(3):
-        g = ring.zero()
-        for (i, j) in PAIRS:
-            g = g + ring.grid_var(i, 1) * ring.grid_var(j, 2) * A[r][_PAIR_POS[(i, j)]]
-        gens.append(g)
-
-    def basis21():
-        out = {}
-        for (p, q) in MULTISETS:
-            for l in range(1, 4):
-                mono = ring.grid_var(p, 1) * ring.grid_var(q, 1) * ring.grid_var(l, 2)
-                (m, _), = mono.terms.items()
-                out[m] = len(out)
-        return out
-
-    def basis12():
-        out = {}
-        for (p, q) in MULTISETS:
-            for i in range(1, 4):
-                mono = ring.grid_var(i, 1) * ring.grid_var(p, 2) * ring.grid_var(q, 2)
-                (m, _), = mono.terms.items()
-                out[m] = len(out)
-        return out
-
-    b21, b12 = basis21(), basis12()
-    m1 = [[Fraction(0)] * 18 for _ in range(9)]
-    m2 = [[Fraction(0)] * 18 for _ in range(9)]
-    for k in range(1, 4):
-        for r in range(3):
-            row = 3 * (k - 1) + r
-            prod1 = gens[r] * ring.grid_var(k, 1)
-            for m, c in prod1.terms.items():
-                m1[row][b21[m]] = c
-            prod2 = gens[r] * ring.grid_var(k, 2)
-            for m, c in prod2.terms.items():
-                m2[row][b12[m]] = c
-    return CollineationMatrices(
-        by_first_factor=m1, by_second_factor=m2,
-        rank_first=rank_dense(m1), rank_second=rank_dense(m2))
-
-
 def minors_coeff_matrix() -> list:
     """The 3 x 9 coefficient matrix of the three 2 x 2 minors themselves."""
     A = [[Fraction(0)] * 9 for _ in range(3)]

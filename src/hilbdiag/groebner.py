@@ -19,22 +19,23 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 from operator import add, le, mul, sub
 from random import Random
 
 from .gridcore import (Monomial, MonomialIdeal, all_grid_vars,
-                       monomials_of_degree, series_equals_diagonal,
-                       stanley_reisner)
+                       monomials_of_degree, multidegree,
+                       series_equals_diagonal, stanley_reisner)
 from .linalg import rank_sparse
 
 
 class PolyRing:
     """An ordered list of variables; grid rings remember the (row, col)
-    layout of their first d*n variables."""
+    layout of their first d*n variables, which `exponents` and `monomial`
+    translate."""
 
-    __slots__ = ("names", "index", "gridshape", "gridvars")
+    __slots__ = ("names", "index", "gridshape")
 
     def __init__(self, names, gridshape=None):
         self.names = tuple(names)
@@ -42,12 +43,6 @@ class PolyRing:
         if len(self.index) != len(self.names):
             raise ValueError("duplicate variable names")
         self.gridshape = gridshape
-        self.gridvars = {}
-        if gridshape:
-            d, n = gridshape
-            cells = all_grid_vars(d, n)
-            for k, cell in enumerate(cells):
-                self.gridvars[k] = cell
 
     @property
     def nvars(self):
@@ -65,18 +60,24 @@ class PolyRing:
         return RatPoly(self, {tuple(e): Fraction(1)})
 
     def grid_var(self, i, j):
-        d, n = self.gridshape
-        return self.var(self.names[(i - 1) * n + (j - 1)])
+        return RatPoly(self, {self.exponents(Monomial.variable(i, j)): Fraction(1)})
 
-    def grid_index(self, i, j):
-        d, n = self.gridshape
-        return (i - 1) * n + (j - 1)
-
-    def monomial_poly(self, m: Monomial, coeff=1):
+    def exponents(self, m: Monomial) -> tuple:
+        """The exponent tuple of a grid monomial; the grid variable (i, j)
+        sits at position (i-1)*n + (j-1), row by row."""
+        n = self.gridshape[1]
         e = [0] * self.nvars
         for (i, j), ex in m.exps:
-            e[self.grid_index(i, j)] = ex
-        return RatPoly(self, {tuple(e): Fraction(coeff)})
+            e[(i - 1) * n + (j - 1)] = ex
+        return tuple(e)
+
+    def monomial(self, exps) -> Monomial:
+        """The grid monomial of an exponent tuple; inverse of `exponents`."""
+        d, n = self.gridshape
+        if any(exps[d * n:]):
+            raise ValueError("monomial involves a non-grid variable")
+        return Monomial({(k // n + 1, k % n + 1): e
+                         for k, e in enumerate(exps[:d * n]) if e})
 
     def extend(self, extra):
         return PolyRing(self.names + tuple(extra), gridshape=self.gridshape)
@@ -221,48 +222,17 @@ class RatPoly:
 
     def grid_multidegree(self):
         """Column-degree vector; requires Z^n-homogeneity."""
-        d, n = self.ring.gridshape
-        deg = None
-        for m in self.terms:
-            u = [0] * n
-            for k, e in enumerate(m):
-                if not e:
-                    continue
-                cell = self.ring.gridvars.get(k)
-                if cell is None:
-                    raise ValueError("term involves a non-grid variable")
-                u[cell[1] - 1] += e
-            u = tuple(u)
-            if deg is None:
-                deg = u
-            elif deg != u:
-                raise ValueError("polynomial is not multigraded-homogeneous")
-        return deg
+        n = self.ring.gridshape[1]
+        degs = {multidegree(self.ring.monomial(m), n) for m in self.terms}
+        if len(degs) > 1:
+            raise ValueError("polynomial is not multigraded-homogeneous")
+        return degs.pop() if degs else None
 
-    def to_grid_monomial(self) -> Monomial:
-        if len(self.terms) != 1:
-            raise ValueError("not a monomial")
-        (m, _), = self.terms.items()
-        exps = {}
-        for k, e in enumerate(m):
-            if not e:
-                continue
-            cell = self.ring.gridvars.get(k)
-            if cell is None:
-                raise ValueError("monomial involves a non-grid variable")
-            exps[cell] = e
-        return Monomial(exps)
-
-    def pretty(self, order=None) -> str:
+    def pretty(self) -> str:
         if not self.terms:
             return "0"
-        keyf = order.key if order else None
-        items = sorted(self.terms.items(), key=(lambda t: keyf(t[0])) if keyf else None,
-                       reverse=bool(keyf))
-        if keyf is None:
-            items = sorted(self.terms.items(), reverse=True)
         parts = []
-        for m, c in items:
+        for m, c in sorted(self.terms.items(), reverse=True):
             mono = "*".join(
                 "%s^%d" % (self.ring.names[k], e) if e > 1 else self.ring.names[k]
                 for k, e in enumerate(m) if e)
@@ -394,22 +364,17 @@ def normal_form(f: RatPoly, basis, order: TermOrder) -> RatPoly:
 
 
 def _prepare(gens, order):
-    """Deduplicate, drop zeros, sort deterministically."""
-    key = order.key
-    uniq = []
-    seen = set()
+    """Monic nonzero generators without repeats, sorted deterministically,
+    as (lt, 1, terms) triples."""
+    uniq = {}
     for g in gens:
         if g.is_zero():
             continue
         lt, lc = order.leading_term(g)
-        monic = g * (1 / lc)
-        sig = tuple(sorted(monic.terms.items()))
-        if sig not in seen:
-            seen.add(sig)
-            uniq.append(monic)
-    uniq.sort(key=lambda g: (key(order.leading_term(g)[0]),
-                             sorted(g.terms.items())))
-    return uniq
+        terms = {m: c / lc for m, c in g.terms.items()}
+        sig = tuple(sorted(terms.items()))
+        uniq.setdefault(sig, (order.key(lt), sig, lt, terms))
+    return [(lt, Fraction(1), terms) for _, _, lt, terms in sorted(uniq.values())]
 
 
 def buchberger(gens, order: TermOrder) -> list:
@@ -419,15 +384,10 @@ def buchberger(gens, order: TermOrder) -> list:
     coprime leading monomials are skipped.
     """
     ring = gens[0].ring if gens else None
-    work = _prepare(gens, order)
-    if not work:
+    basis = _prepare(gens, order)  # (lt, lc, terms)
+    if not basis:
         return []
     key = order.key
-    basis = []  # (lt, lc, terms)
-    for g in work:
-        lt, lc = order.leading_term(g)
-        basis.append((lt, lc, g.terms))
-
     pairs = []
     for i, j in combinations(range(len(basis)), 2):
         _push_pair(pairs, basis, i, j, key)
@@ -453,7 +413,7 @@ def buchberger(gens, order: TermOrder) -> list:
         for idx in range(k):
             _push_pair(pairs, basis, idx, k, key)
 
-    return _interreduce([RatPoly(ring, t) for _, _, t in basis], order)
+    return _interreduce(basis, ring, order)
 
 
 def _shift(f, q):
@@ -466,38 +426,24 @@ def _push_pair(pairs, basis, i, j, key):
     heapq.heappush(pairs, (key(lcm), (i, j), i, j, lcm))
 
 
-def _interreduce(polys, order):
-    """Minimalize leading terms, then reduce tails; canonical sorted output."""
-    key = order.key
-    lts = [order.leading_term(g)[0] for g in polys]
-    keep = []
-    for k, lt in enumerate(lts):
-        dominated = False
-        for k2, lt2 in enumerate(lts):
-            if k2 == k:
-                continue
-            if _divides(lt2, lt) and (lt2 != lt or k2 < k):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(polys[k])
-    out = []
-    for k, g in enumerate(keep):
-        others = [(order.leading_term(h)[0], Fraction(1),
-                   {m: c / order.leading_term(h)[1] for m, c in h.terms.items()})
-                  for k2, h in enumerate(keep) if k2 != k]
-        r = normal_form(g, others, order)
-        if not r.is_zero():
-            lt, lc = order.leading_term(r)
-            out.append(r * (1 / lc))
-    out.sort(key=lambda g: key(order.leading_term(g)[0]))
-    return out
+def _interreduce(basis, ring, order):
+    """Minimalize leading terms, then reduce tails; canonical sorted output.
+
+    `basis` holds monic (lt, 1, terms) triples.  A kept leading monomial
+    is divisible by no other kept one, so it survives the tail reduction
+    as the leading term with coefficient 1.
+    """
+    keep = [b for k, b in enumerate(basis)
+            if not any(_divides(b2[0], b[0]) and (b2[0] != b[0] or k2 < k)
+                       for k2, b2 in enumerate(basis) if k2 != k)]
+    keep.sort(key=lambda b: order.key(b[0]))
+    return [normal_form(RatPoly(ring, terms), keep[:k] + keep[k + 1:], order)
+            for k, (_, _, terms) in enumerate(keep)]
 
 
 def is_groebner(basis, order) -> bool:
     """Every S-pair reduces to zero; used as a self-check in tests."""
-    prepared = [(order.leading_term(g)[0], order.leading_term(g)[1], g.terms)
-                for g in basis]
+    prepared = [order.leading_term(g) + (g.terms,) for g in basis]
     for i, j in combinations(range(len(basis)), 2):
         lti, ltj = prepared[i][0], prepared[j][0]
         lcm = tuple(max(a, b) for a, b in zip(lti, ltj))
@@ -534,34 +480,17 @@ def _entry_poly(entry, ring):
 
 
 def matrix_det(matrix, ring=None):
-    """Exact determinant; entries may be numbers or polynomials."""
-    size = len(matrix)
-    if ring is None:
-        rows = [[Fraction(x) for x in row] for row in matrix]
-        if size == 1:
-            return rows[0][0]
-        det = 0
-        from itertools import permutations
-        for perm in permutations(range(size)):
-            sign = 1
-            seen = list(perm)
-            # count inversions
-            inv = sum(1 for a in range(size) for b in range(a + 1, size)
-                      if seen[a] > seen[b])
-            sign = -1 if inv % 2 else 1
-            prod_ = Fraction(1)
-            for r in range(size):
-                prod_ *= rows[r][perm[r]]
-            det += sign * prod_
-        return det
-    from itertools import permutations
-    det = ring.zero()
-    for perm in permutations(range(size)):
-        inv = sum(1 for a in range(size) for b in range(a + 1, size)
-                  if perm[a] > perm[b])
-        term = ring.one() * (-1 if inv % 2 else 1)
-        for r in range(size):
-            term = term * _entry_poly(matrix[r][perm[r]], ring)
+    """Exact determinant by permutation expansion: a Fraction for number
+    entries, or a polynomial of `ring` when one is given (number entries
+    then count as constants)."""
+    coerce = Fraction if ring is None else (lambda x: _entry_poly(x, ring))
+    rows = [[coerce(x) for x in row] for row in matrix]
+    det = coerce(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = coerce(-1 if inversions % 2 else 1)
+        for row, c in zip(rows, perm):
+            term = term * row[c]
         det = det + term
     return det
 
@@ -581,19 +510,14 @@ def apply_matrices(matrices, gens) -> list:
     for j, mat in enumerate(matrices, start=1):
         if len(mat) != d or any(len(row) != d for row in mat):
             raise ValueError("matrix %d is not %dx%d" % (j, d, d))
-        det = matrix_det(mat, ring if _has_poly(mat) else None)
-        if (det.is_zero() if isinstance(det, RatPoly) else det == 0):
+        if matrix_det(mat, ring).is_zero():
             raise ValueError("matrix %d is singular" % j)
         for i in range(1, d + 1):
             img = ring.zero()
             for k in range(1, d + 1):
                 img = img + _entry_poly(mat[i - 1][k - 1], ring) * ring.grid_var(k, j)
-            images[ring.grid_index(i, j)] = img
+            images[ring.exponents(Monomial.variable(i, j)).index(1)] = img
     return [g.substitute(images) for g in gens]
-
-
-def _has_poly(mat):
-    return any(isinstance(x, RatPoly) for row in mat for x in row)
 
 
 def initial_ideal(gens, order: TermOrder):
@@ -607,10 +531,7 @@ def initial_ideal(gens, order: TermOrder):
     ring = gens[0].ring
     d, n = ring.gridshape
     decisive = all(order.weight_decisive(g) for g in gb)
-    lts = []
-    for g in gb:
-        lt, _ = order.leading_term(g)
-        lts.append(RatPoly(ring, {lt: Fraction(1)}).to_grid_monomial())
+    lts = [ring.monomial(order.leading_term(g)[0]) for g in gb]
     return MonomialIdeal(d, n, lts), decisive
 
 
@@ -682,10 +603,6 @@ def special_fiber(matrices, d, n) -> list:
     ring = grid_ring(d, n, ("z",))
     iz = ring.nvars - 1
     mats = [[[_entry_poly(x, ring) for x in row] for row in mat] for mat in matrices]
-    for j, mat in enumerate(mats):
-        det = matrix_det(mat, ring)
-        if det.is_zero():
-            raise ValueError("matrix %d is singular over Q(z)" % (j + 1))
     gens = apply_matrices(mats, minors_ideal(d, n, ring))
     gens = [_strip_z(g, iz) for g in gens if not g.is_zero()]
     sat = saturate_z(gens, "z")
@@ -700,7 +617,8 @@ def fiber_monomial_ideal(fiber_gens, d, n) -> MonomialIdeal:
     """Interpret a special fiber as a monomial ideal; fails if it is not one."""
     if not all(g.is_monomial() for g in fiber_gens):
         raise ValueError("special fiber is not a monomial ideal")
-    return MonomialIdeal(d, n, [g.to_grid_monomial() for g in fiber_gens])
+    return MonomialIdeal(d, n, [g.ring.monomial(m) for g in fiber_gens
+                                for m in g.terms])
 
 
 def weight_initial_route(weights, matrices, d, n) -> MonomialIdeal:
@@ -872,7 +790,8 @@ def graded_piece_dim(gens, u, ring=None) -> int:
     ring = gens[0].ring
     d, n = ring.gridshape
     u = tuple(u)
-    basis = {m: k for k, m in enumerate(monomials_of_degree(d, n, u))}
+    basis = {ring.exponents(m): k
+             for k, m in enumerate(monomials_of_degree(d, n, u))}
     rows = []
     for g in gens:
         dg = g.grid_multidegree()  # validates homogeneity
@@ -880,13 +799,9 @@ def graded_piece_dim(gens, u, ring=None) -> int:
         if any(x < 0 for x in diff):
             continue
         for mult in monomials_of_degree(d, n, diff):
-            mp = ring.monomial_poly(mult)
-            prod_ = mp * g
-            row = {}
-            for m, c in prod_.terms.items():
-                mono = RatPoly(ring, {m: Fraction(1)}).to_grid_monomial()
-                row[basis[mono]] = c
-            rows.append(row)
+            q = ring.exponents(mult)
+            rows.append({basis[tuple(map(add, m, q))]: c
+                         for m, c in g.terms.items()})
     return len(basis) - rank_sparse(rows)
 
 

@@ -11,6 +11,7 @@ of a tree and no graph-canonization machinery is needed.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -21,6 +22,30 @@ from . import groebner
 
 class NotATreeIdeal(ValueError):
     """The given ideal does not come from a directed edge-labeled tree."""
+
+
+def _adjacency(edges, vertices):
+    """vertex -> [(neighbor, index of the joining edge)]."""
+    adj = {v: [] for v in vertices}
+    for k, (a, b) in enumerate(edges):
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    return adj
+
+
+def _bfs_parents(adj, root):
+    """Parent of every vertex reachable from root, by breadth-first
+    search; the root's parent is None.  On a tree, parents and paths are
+    unique, so the result does not depend on the adjacency order.
+    """
+    parent = {root: None}
+    queue = [root]
+    for v in queue:
+        for w, _ in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
 
 
 class Tree:
@@ -40,27 +65,11 @@ class Tree:
             raise ValueError("expected %d vertices, got %d" % (self.n + 1, len(verts)))
         relabel = {v: k for k, v in enumerate(verts)}
         self.edges = tuple((relabel[t], relabel[h]) for t, h in edges)
-        if not self._connected():
+        if len(_bfs_parents(self.adjacency(), 0)) != self.n + 1:
             raise ValueError("edges do not form a tree")
 
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n + 1
-
     def adjacency(self):
-        adj = {v: [] for v in range(self.n + 1)}
-        for k, (t, h) in enumerate(self.edges):
-            adj[t].append((h, k))
-            adj[h].append((t, k))
-        return adj
+        return _adjacency(self.edges, range(self.n + 1))
 
     def degrees(self):
         deg = [0] * (self.n + 1)
@@ -82,39 +91,29 @@ class Tree:
         return "Tree(%r)" % (list(self.edges),)
 
 
-def _vertex_distances(tree: Tree):
-    """All-pairs distances by BFS; the graphs have at most a few vertices."""
-    adj = tree.adjacency()
-    nv = tree.n + 1
-    dist = [[None] * nv for _ in range(nv)]
-    for s in range(nv):
-        dist[s][s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w, _ in adj[v]:
-                    if dist[s][w] is None:
-                        dist[s][w] = dist[s][v] + 1
-                        nxt.append(w)
-            queue = nxt
-    return dist
-
-
 def facing_table(tree: Tree):
-    """facing[i][j] = endpoint of edge j nearest to edge i (both 0-based)."""
-    dist = _vertex_distances(tree)
+    """facing[i][j] = endpoint of edge j nearest to edge i (both 0-based).
+
+    Rooted at vertex 0, every edge has a lower endpoint (the child).  Edge
+    i hangs below edge j exactly when j's lower endpoint is an ancestor of
+    i's; then that endpoint faces i, and otherwise j's upper one does.
+    """
+    parent = _bfs_parents(tree.adjacency(), 0)
+    lower = [h if parent[h] == t else t for t, h in tree.edges]
+    ancestors = []
+    for v in lower:
+        chain = set()
+        while v is not None:
+            chain.add(v)
+            v = parent[v]
+        ancestors.append(chain)
     n = tree.n
     facing = [[None] * n for _ in range(n)]
     for i in range(n):
-        ai, bi = tree.edges[i]
         for j in range(n):
-            if i == j:
-                continue
-            c, dvert = tree.edges[j]
-            dc = min(dist[c][ai], dist[c][bi])
-            dd = min(dist[dvert][ai], dist[dvert][bi])
-            facing[i][j] = c if dc < dd else dvert
+            if i != j:
+                lj = lower[j]
+                facing[i][j] = lj if lj in ancestors[i] else parent[lj]
     return facing
 
 
@@ -197,35 +196,16 @@ def _tree_from_code(code, n):
     degree = [1] * nv
     for v in code:
         degree[v] += 1
-    adj = {v: set() for v in range(nv)}
-    leaves = sorted(v for v in range(nv) if degree[v] == 1)
-    code = list(code)
-    import heapq
-    heap = leaves[:]
-    heapq.heapify(heap)
+    heap = [v for v in range(nv) if degree[v] == 1]
+    edges = []
     for v in code:
-        leaf = heapq.heappop(heap)
-        adj[leaf].add(v)
-        adj[v].add(leaf)
+        edges.append((heapq.heappop(heap), v))
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(heap, v)
-    u = heapq.heappop(heap)
-    w = heapq.heappop(heap)
-    adj[u].add(w)
-    adj[w].add(u)
-    # root at 0
-    parent = [None] * nv
-    stack = [0]
-    seen = {0}
-    while stack:
-        v = stack.pop()
-        for w2 in adj[v]:
-            if w2 not in seen:
-                seen.add(w2)
-                parent[w2] = v
-                stack.append(w2)
-    return parent
+    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
+    parent = _bfs_parents(_adjacency(edges, range(nv)), 0)
+    return [parent[v] for v in range(nv)]
 
 
 def tree_to_ideal(tree: Tree) -> MonomialIdeal:
@@ -393,21 +373,8 @@ class MovesGraph:
     def is_connected(self) -> bool:
         if not self.nodes:
             return True
-        adj = {k: set() for k in self.nodes}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        start = next(iter(self.nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.nodes)
+        adj = _adjacency(self.edges, self.nodes)
+        return len(_bfs_parents(adj, next(iter(self.nodes)))) == len(self.nodes)
 
 
 def moves_graph(n: int) -> MovesGraph:
@@ -467,24 +434,14 @@ class DecoratedTree:
             if pa == (0, 0) or pb == (0, 0):
                 raise ValueError("attachment points must be nonzero")
             self.attachments.append((a, b, pa, pb))
-        if len(self.attachments) != len(self.components) - 1 or not self._connected():
+        nc = len(self.components)
+        if len(self.attachments) != nc - 1 \
+                or len(_bfs_parents(self._attachment_graph(), 0)) != nc:
             raise ValueError("attachments must form a tree on the components")
 
-    def _connected(self):
-        nc = len(self.components)
-        adj = {c: set() for c in range(nc)}
-        for a, b, _, _ in self.attachments:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == nc
+    def _attachment_graph(self):
+        return _adjacency([(a, b) for a, b, _, _ in self.attachments],
+                          range(len(self.components)))
 
     def component_of(self, label: int) -> int:
         for c, (labels, _) in enumerate(self.components):
@@ -495,28 +452,12 @@ class DecoratedTree:
     def first_step(self, src: int, dst: int):
         """First attachment on the tree path from component src to dst;
         returns the parameter point on the src side."""
-        adj = {}
-        for a, b, pa, pb in self.attachments:
-            adj.setdefault(a, []).append((b, pa))
-            adj.setdefault(b, []).append((a, pb))
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w, _ in adj.get(v, []):
-                    if w not in prev:
-                        prev[w] = v
-                        nxt.append(w)
-            queue = nxt
-        # walk back from dst to the neighbor of src
-        v = dst
-        while prev[v] != src:
-            v = prev[v]
-        for w, point in adj[src]:
-            if w == v:
-                return point
-        raise RuntimeError("unreachable")
+        adj = self._attachment_graph()
+        # rooted at dst, the parent of src is its next component on the path
+        step = _bfs_parents(adj, dst)[src]
+        k = next(k for w, k in adj[src] if w == step)
+        a, _, pa, pb = self.attachments[k]
+        return pa if a == src else pb
 
 
 def decorated_tree_ideal(deco: DecoratedTree) -> list:

@@ -82,11 +82,14 @@ def test_tangent_ideal_file(tmp_path, capsys):
     assert out.strip() == "16"
 
 
-def test_tangent_bad_json(tmp_path):
+def test_tangent_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(SystemExit) as exc:
         main(["tangent", "--ideal", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hilbdiag: error: ") and err.count("\n") == 1
 
 
 def test_tangent_chain_basis(capsys):
@@ -140,8 +143,13 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["tangent", "--basis", "chain"],
     ["gin", "--d", "1", "--n", "3"],
     ["gin", "--d", "3", "--n", "1"],
+    ["deligne", "--matrices", "singular.json"],
+    ["lafforgue", "--matrices", "singular.json"],
+    ["tangent", "--ideal", "missing.json"],
 ])
-def test_bad_arguments_exit_2(argv, capsys):
+def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "singular.json").write_text("[[[1,1],[1,1]],[[1,0],[0,1]]]")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

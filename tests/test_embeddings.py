@@ -1,12 +1,13 @@
 """Collineation matrices, Plucker data, scaled minors, the 2x3 cubic."""
 
+from fractions import Fraction
 from math import comb
 from random import Random
 
 import pytest
 
-from hilbdiag.embeddings import (collineation_matrices,
-                                 collineation_matrices_generated,
+from hilbdiag import groebner
+from hilbdiag.embeddings import (MULTISETS, PAIRS, collineation_matrices,
                                  lafforgue_coordinates, minor_types,
                                  minors_coeff_matrix,
                                  plucker_classification_counts, plucker_param,
@@ -25,14 +26,48 @@ def random_matrix(rng, rows, cols):
     return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
 
 
+def collineation_matrices_generated(A):
+    """The two 9 x 18 matrices of collineation_matrices, built by actual
+    polynomial multiplication: a transcription guard for the structural
+    builder.  Returns (by_first_factor, by_second_factor)."""
+    ring = groebner.grid_ring(3, 2)
+    x = ring.grid_var
+    gens = []
+    for r in range(3):
+        g = ring.zero()
+        for k, (i, j) in enumerate(PAIRS):
+            g = g + x(i, 1) * x(j, 2) * Fraction(A[r][k])
+        gens.append(g)
+
+    def basis(mono):
+        out = {}
+        for (p, q) in MULTISETS:
+            for l in range(1, 4):
+                (m,) = mono(p, q, l).terms
+                out[m] = len(out)
+        return out
+
+    b21 = basis(lambda p, q, l: x(p, 1) * x(q, 1) * x(l, 2))
+    b12 = basis(lambda p, q, i: x(i, 1) * x(p, 2) * x(q, 2))
+    m1 = [[Fraction(0)] * 18 for _ in range(9)]
+    m2 = [[Fraction(0)] * 18 for _ in range(9)]
+    for k in range(1, 4):
+        for r in range(3):
+            row = 3 * (k - 1) + r
+            for m, c in (gens[r] * x(k, 1)).terms.items():
+                m1[row][b21[m]] = c
+            for m, c in (gens[r] * x(k, 2)).terms.items():
+                m2[row][b12[m]] = c
+    return m1, m2
+
+
 def test_structural_matrix_matches_generated():
     rng = Random(RNG_SEED)
     for _ in range(5):
         A = random_matrix(rng, 3, 9)
         hard = collineation_matrices(A)
-        gen = collineation_matrices_generated(A)
-        assert hard.by_first_factor == gen.by_first_factor
-        assert hard.by_second_factor == gen.by_second_factor
+        assert (hard.by_first_factor, hard.by_second_factor) \
+            == collineation_matrices_generated(A)
 
 
 def test_minors_matrix_has_rank_eight():

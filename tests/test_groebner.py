@@ -47,6 +47,41 @@ def test_matrix_det():
     assert matrix_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
 
 
+def test_matrix_det_numbers_and_constant_polynomials_agree():
+    R = grid_ring(2, 2, ("z",))
+    const = (0,) * R.nvars
+    rng = Random(5)
+    for size in (1, 2, 3, 4):
+        for _ in range(3):
+            mat = [[rng.randint(-9, 9) for _ in range(size)]
+                   for _ in range(size)]
+            value = matrix_det(mat)
+            assert isinstance(value, Fraction)
+            lifted = [[RatPoly(R, {const: Fraction(x)}) for x in row]
+                      for row in mat]
+            expect = RatPoly(R, {const: value})
+            assert matrix_det(lifted, R) == expect
+            assert matrix_det(mat, R) == expect
+
+
+def test_matrix_det_polynomial_entries():
+    R = grid_ring(2, 2, ("z",))
+    z = R.var("z")
+    assert matrix_det([[z, 1], [1, z]], R) == z * z - 1
+    assert matrix_det([[z, z], [z, z]], R).is_zero()
+
+
+def test_matrix_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(11)
+    for _ in range(5):
+        mat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(4)] for _ in range(4)]
+        expect = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                for x in row] for row in mat]).det()
+        assert matrix_det(mat) == Fraction(int(expect.p), int(expect.q))
+
+
 def test_apply_identity():
     R = grid_ring(2, 3)
     gens = minors_ideal(2, 3, R)

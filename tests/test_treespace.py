@@ -12,7 +12,8 @@ from hilbdiag.tangent import chain_ideal, tangent_dimension
 from hilbdiag.treespace import (DecoratedTree, NotATreeIdeal, Tree,
                                 cross_ratio_family, decorated_tree_ideal,
                                 enumerate_trees, ideal_to_tree, is_smooth,
-                                moves_graph, torus_fixed_decoration,
+                                MovesGraph, moves_graph,
+                                torus_fixed_decoration,
                                 tree_tangent_dim, tree_to_ideal,
                                 vertex_tangent_count)
 
@@ -147,8 +148,10 @@ def test_moves_graph_n2_swaps_join_chains():
 
 
 def test_moves_graph_connected():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         assert moves_graph(n).is_connected()
+    g = moves_graph(2)
+    assert not MovesGraph(2, g.nodes, {}).is_connected()
 
 
 def test_swap_edges_change_exactly_one_generator():
@@ -208,9 +211,26 @@ def test_torus_decorations_match_tree_ideals():
     for tree in enumerate_trees(3):
         ideal = tree_to_ideal(tree)
         gens = decorated_tree_ideal(torus_fixed_decoration(tree))
-        expect = [R.monomial_poly(g) for g in ideal.gens]
+        expect = [groebner.RatPoly(R, {R.exponents(g): 1}) for g in ideal.gens]
         assert groebner.buchberger(gens, order) \
             == groebner.buchberger(expect, order)
+
+
+def test_first_step_on_a_path():
+    # components 0 - 1 - 2 - 3, attachments out of order and with mixed
+    # orientation; the point on component c's side toward w is (c+1, w+1)
+    def point(c, w):
+        return (c + 1, w + 1)
+
+    D = DecoratedTree(4, [({k}, {k: IDENT}) for k in (1, 2, 3, 4)],
+                      [(1, 2, point(1, 2), point(2, 1)),
+                       (0, 1, point(0, 1), point(1, 0)),
+                       (3, 2, point(3, 2), point(2, 3))])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                step = src + 1 if dst > src else src - 1
+                assert D.first_step(src, dst) == point(src, step)
 
 
 def test_decoration_validation():
