@@ -32,14 +32,6 @@ def emit_json(data, stream=None):
     (stream or sys.stdout).write("\n")
 
 
-def tree_dot(tree: treespace.Tree) -> str:
-    lines = ["digraph tree {"]
-    for k, (t, h) in enumerate(tree.edges):
-        lines.append('  v%d -> v%d [label="%d"];' % (t, h, k + 1))
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def table1_csv(report: h33.Table1Report) -> str:
     """The class table as CSV with header class,tangent,planar,symm,orbit."""
     rows = ["class,tangent,planar,symm,orbit"]

@@ -186,8 +186,26 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialIdeal":
-        gens = [Monomial({(i, j): e for i, j, e in entry}) for entry in data["gens"]]
-        return cls(data["d"], data["n"], gens)
+        """Inverse of `to_json`; malformed data raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("an ideal must be a JSON object")
+        for key in ("d", "n", "gens"):
+            if key not in data:
+                raise ValueError("ideal JSON has no %r" % key)
+        d, n, entries = data["d"], data["n"], data["gens"]
+        if type(d) is not int or type(n) is not int:
+            raise ValueError("d and n must be integers")
+        if not isinstance(entries, list):
+            raise ValueError("gens must be a list")
+        gens = []
+        for entry in entries:
+            if not isinstance(entry, list) or not all(
+                    isinstance(t, list) and len(t) == 3
+                    and all(type(x) is int for x in t) for t in entry):
+                raise ValueError("generator %r is not a list of [row, col, "
+                                 "exponent] integer triples" % (entry,))
+            gens.append(Monomial({(i, j): e for i, j, e in entry}))
+        return cls(d, n, gens)
 
 
 class SimplicialComplex:

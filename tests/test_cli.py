@@ -50,13 +50,6 @@ def test_trees_graph_formats(capsys):
     assert len(swaps) == 24
 
 
-def test_single_tree_dot():
-    from hilbdiag.cli import tree_dot
-    from hilbdiag.treespace import Tree
-    dot = tree_dot(Tree([(0, 1), (1, 2)]))
-    assert 'label="1"' in dot and "->" in dot
-
-
 def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "gin", "--d", "2", "--n", "2", "--trials", "3",
                       "--seed", "9")
@@ -146,10 +139,18 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["deligne", "--matrices", "singular.json"],
     ["lafforgue", "--matrices", "singular.json"],
     ["tangent", "--ideal", "missing.json"],
+    ["tangent", "--ideal", "float_exponent.json"],
+    ["tangent", "--ideal", "no_gens.json"],
+    ["tangent", "--ideal", "bool_exponent.json"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "singular.json").write_text("[[[1,1],[1,1]],[[1,0],[0,1]]]")
+    (tmp_path / "float_exponent.json").write_text(
+        '{"d":2,"n":2,"gens":[[[1,1,1.5]],[[2,2,1]]]}')
+    (tmp_path / "no_gens.json").write_text('{"d":2,"n":2}')
+    (tmp_path / "bool_exponent.json").write_text(
+        '{"d":2,"n":2,"gens":[[[1,1,true]],[[2,2,1]]]}')
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
