@@ -4,8 +4,8 @@ data, tangent spaces, the d=2 tree space, the 3x3 census, and special
 fibers of one-parameter families."""
 
 from .gridcore import (KPolynomial, Monomial, MonomialIdeal,
-                       SimplicialComplex, diagonal_k_polynomial, hf_at,
-                       k_polynomial, multidegree, multidegree_of_ideal,
+                       diagonal_k_polynomial, hf_at, k_polynomial,
+                       multidegree, multidegree_of_ideal,
                        series_equals_diagonal, stanley_reisner, target_hf)
 from .borel import (build_z, h_closed_form, is_borel_fixed, shelling,
                     u_set, z_generators_direct, z_u)

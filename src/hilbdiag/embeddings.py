@@ -36,10 +36,6 @@ class CollineationMatrices:
     rank_first: int
     rank_second: int
 
-    @property
-    def max_rank(self):
-        return max(self.rank_first, self.rank_second)
-
 
 def collineation_matrices(A) -> CollineationMatrices:
     """The two 9 x 18 coefficient matrices of a net of bilinear quadrics.

@@ -8,6 +8,20 @@ the K-polynomial of a squarefree ideal is the numerator of its
 multigraded Hilbert series over the fixed denominator prod_j (1-t_j)^d,
 and equality of K-polynomials certifies equality of Hilbert functions.
 
+Packed monomials.  `pack` lays a monomial out row by row, like
+`PolyRing.exponents`: the exponent of (i, j) fills the bit field
+(i-1)*n + (j-1) of a given width.  At width 1 a squarefree monomial
+becomes its vertex set, and the Stanley-Reisner layer works on these
+masks: a face is a submask of a facet, and a column's share of a face is
+`(face & colmask[j]).bit_count()`.  `Packing` sets the top bit of every
+field aside as a guard bit that no packed monomial sets, and sizes the
+fields so that every exponent the caller packs fits below it.  Products
+and quotients of monomials then never carry into a neighbouring field
+and become integer adds and subtracts.  With H the sum of the guard bits,
+g divides w exactly when ((w | H) - g) & H == H: a field borrows from its
+own guard bit, and from nowhere else, exactly when w's exponent there is
+smaller than g's.
+
 Everything here is exact integer arithmetic; no floats.
 """
 
@@ -48,17 +62,6 @@ class Monomial:
     @classmethod
     def variable(cls, i: int, j: int) -> "Monomial":
         return cls({(i, j): 1})
-
-    @classmethod
-    def from_vars(cls, vars_) -> "Monomial":
-        exps = {}
-        for v in vars_:
-            exps[v] = exps.get(v, 0) + 1
-        return cls(exps)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(v for v, _ in self.exps)
 
     @property
     def total_degree(self) -> int:
@@ -115,9 +118,6 @@ class Monomial:
 
     def __repr__(self):
         return "Monomial(%r)" % (dict(self.exps),)
-
-
-ONE = Monomial({})
 
 
 def multidegree(m: Monomial, n: int) -> Multidegree:
@@ -204,46 +204,10 @@ class MonomialIdeal:
                     and all(type(x) is int for x in t) for t in entry):
                 raise ValueError("generator %r is not a list of [row, col, "
                                  "exponent] integer triples" % (entry,))
+            if len({(i, j) for i, j, _ in entry}) != len(entry):
+                raise ValueError("generator %r repeats a variable" % (entry,))
             gens.append(Monomial({(i, j): e for i, j, e in entry}))
         return cls(d, n, gens)
-
-
-class SimplicialComplex:
-    """A simplicial complex on grid variables, stored by its facets."""
-
-    __slots__ = ("vertices", "facets")
-
-    def __init__(self, vertices, facets):
-        self.vertices = tuple(sorted(set(vertices)))
-        vset = set(self.vertices)
-        facets = [frozenset(f) for f in facets]
-        for f in facets:
-            if not f <= vset:
-                raise ValueError("facet not contained in vertex set")
-        # keep only maximal faces
-        maximal = [f for f in facets if not any(f < g for g in facets)]
-        self.facets = tuple(sorted(set(maximal), key=sorted))
-
-    def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1 if self.facets else -1
-
-    def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) <= 1
-
-    def faces(self):
-        """All faces, as a set of frozensets (includes the empty face)."""
-        seen = {frozenset()}
-        for f in self.facets:
-            fl = sorted(f)
-            k = len(fl)
-            for mask in range(1, 1 << k):
-                seen.add(frozenset(fl[b] for b in range(k) if mask >> b & 1))
-        return seen
-
-    def __repr__(self):
-        return "SimplicialComplex(%d vertices, %d facets)" % (
-            len(self.vertices), len(self.facets))
 
 
 class KPolynomial:
@@ -259,30 +223,10 @@ class KPolynomial:
                 if c:
                     self.terms[tuple(u)] = c
 
-    @classmethod
-    def monomial(cls, u, c=1) -> "KPolynomial":
-        return cls(len(u), {tuple(u): c})
-
     def __add__(self, other):
         out = dict(self.terms)
         for u, c in other.terms.items():
             out[u] = out.get(u, 0) + c
-        return KPolynomial(self.n, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            out[u] = out.get(u, 0) - c
-        return KPolynomial(self.n, out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return KPolynomial(self.n, {u: c * other for u, c in self.terms.items()})
-        out = {}
-        for u, c in self.terms.items():
-            for v, e in other.terms.items():
-                w = tuple(a + b for a, b in zip(u, v))
-                out[w] = out.get(w, 0) + c * e
         return KPolynomial(self.n, out)
 
     def __eq__(self, other):
@@ -333,26 +277,96 @@ class KPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# hypergraph dualization, shared by both directions of the
-# generators <-> facets correspondence for squarefree ideals
+# packed monomials (see the module docstring)
 
-def minimal_transversals(edges, universe):
-    """Minimal hitting sets of a family of subsets of `universe`.
+def pack(m: Monomial, n: int, width: int) -> int:
+    """The monomial as an integer: the exponent of (i, j) fills bit field
+    (i-1)*n + (j-1), each field `width` bits wide."""
+    return sum(e << ((i - 1) * n + j - 1) * width for (i, j), e in m.exps)
 
-    Runs the iterated-intersection algorithm on bitmasks: process one edge
-    at a time, extending the transversals that miss it and re-minimalizing.
+
+def unpack(w: int, n: int, width: int) -> Monomial:
+    """Inverse of `pack`."""
+    field = (1 << width) - 1
+    exps = []
+    k = 0
+    while w:
+        if w & field:
+            exps.append(((k // n + 1, k % n + 1), w & field))
+        w >>= width
+        k += 1
+    # fields come in row-major order, which is the sorted order of `exps`
+    m = Monomial.__new__(Monomial)
+    m.exps = tuple(exps)
+    return m
+
+
+class Packing:
+    """The guarded layout of one ideal: membership and standard monomials.
+
+    `top` is the largest exponent the caller will pack; the fields hold it
+    and every generator exponent below the guard bit.  `guard` is the sum
+    of the guard bits and `gens` are the minimal generators in the ideal's
+    order, packed.
     """
-    universe = sorted(universe)
-    idx = {v: b for b, v in enumerate(universe)}
-    masks = []
-    for e in edges:
-        m = 0
-        for v in e:
-            m |= 1 << idx[v]
-        if m == 0:
-            return []  # an empty edge can never be hit
-        masks.append(m)
-    masks.sort(key=lambda m: m.bit_count())
+
+    __slots__ = ("d", "n", "width", "guard", "gens")
+
+    def __init__(self, ideal: MonomialIdeal, top: int):
+        d, n = ideal.d, ideal.n
+        top = max([top] + [e for g in ideal.gens for _, e in g.exps])
+        width = top.bit_length() + 1
+        self.d, self.n, self.width = d, n, width
+        self.guard = sum(1 << (k * width + width - 1) for k in range(d * n))
+        self.gens = [pack(g, n, width) for g in ideal.gens]
+
+    def inside(self, w: int) -> bool:
+        """True iff some generator divides the packed monomial w."""
+        guard = self.guard
+        w |= guard
+        for g in self.gens:
+            if (w - g) & guard == guard:
+                return True
+        return False
+
+    def outside(self, u) -> list:
+        """The packed monomials of degree u outside the ideal.
+
+        They are built one column at a time; a partial product that is
+        already in the ideal stays there, so it is dropped at once.
+        """
+        d, n, width, inside = self.d, self.n, self.width, self.inside
+        out = [] if inside(0) else [0]
+        for j, uj in enumerate(u):
+            if uj:
+                col = [sum(e << (i * n + j) * width for i, e in enumerate(c))
+                       for c in _column_exponents(d, uj)]
+                out = [a + c for a in out for c in col if not inside(a + c)]
+        return out
+
+    def standard(self, u) -> tuple:
+        """The sorted monomials of degree u outside the ideal, and the
+        same monomials packed."""
+        n, width = self.n, self.width
+        out = sorted(((unpack(w, n, width), w) for w in self.outside(u)),
+                     key=lambda pair: pair[0])
+        return [m for m, _ in out], [w for _, w in out]
+
+
+# ---------------------------------------------------------------------------
+# hypergraph dualization, shared by both directions of the
+# generators <-> facets correspondence for squarefree ideals; vertex sets
+# are `pack` masks at width 1
+
+def minimal_transversals(edges) -> list:
+    """Minimal hitting sets of a family of vertex masks, sorted.
+
+    Runs the iterated-intersection algorithm: process one edge at a time,
+    extending the transversals that miss it and re-minimalizing.
+    """
+    masks = sorted(edges, key=int.bit_count)
+    if masks and not masks[0]:
+        return []  # an empty edge can never be hit
 
     trans = [0]
     for em in masks:
@@ -369,43 +383,38 @@ def minimal_transversals(edges, universe):
                 e ^= b
         # minimalize candidates among themselves, then against survivors
         fresh = []
-        for c in sorted(cand, key=lambda m: m.bit_count()):
-            ok = all(f & ~c != 0 or f == c for f in fresh) if fresh else True
-            if ok and all(h & ~c != 0 for h in hit):
+        for c in sorted(cand, key=int.bit_count):
+            if all(f & ~c for f in fresh) and all(h & ~c for h in hit):
                 fresh.append(c)
         trans = hit + fresh
-    out = []
-    for t in trans:
-        out.append(frozenset(universe[b] for b in range(len(universe)) if t >> b & 1))
-    return sorted(out, key=sorted)
+    return sorted(trans)
 
 
-def all_grid_vars(d: int, n: int):
-    return [(i, j) for i in range(1, d + 1) for j in range(1, n + 1)]
+def _column_masks(d: int, n: int) -> list:
+    """The vertex mask of each grid column."""
+    return [sum(1 << (i * n + j) for i in range(d)) for j in range(n)]
 
 
-def stanley_reisner(ideal: MonomialIdeal) -> SimplicialComplex:
-    """The simplicial complex whose non-faces are the monomials of the ideal.
+def stanley_reisner(ideal: MonomialIdeal) -> tuple:
+    """Facets of the complex whose non-faces are the monomials of the
+    ideal, as sorted vertex masks.
 
     Facets are the complements of the minimal primes, computed by
     dualizing the generator supports.
     """
     if not ideal.is_squarefree():
         raise ValueError("Stanley-Reisner complex needs a squarefree ideal")
-    verts = all_grid_vars(ideal.d, ideal.n)
-    supports = [g.support for g in ideal.gens]
-    primes = minimal_transversals(supports, verts)
-    vset = set(verts)
-    facets = [vset - p for p in primes]
-    return SimplicialComplex(verts, facets)
+    full = (1 << ideal.d * ideal.n) - 1
+    primes = minimal_transversals([pack(g, ideal.n, 1) for g in ideal.gens])
+    return tuple(sorted(full ^ p for p in primes))
 
 
-def complex_to_ideal(cx: SimplicialComplex, d: int, n: int) -> MonomialIdeal:
-    """The squarefree ideal of minimal non-faces of a complex."""
-    verts = all_grid_vars(d, n)
-    covers = [set(verts) - set(f) for f in cx.facets]
-    nonfaces = minimal_transversals(covers, verts)
-    return MonomialIdeal(d, n, [Monomial.from_vars(nf) for nf in nonfaces])
+def complex_to_ideal(facets, d: int, n: int) -> MonomialIdeal:
+    """The squarefree ideal of minimal non-faces of the complex spanned
+    by the given vertex masks."""
+    full = (1 << d * n) - 1
+    nonfaces = minimal_transversals([full ^ f for f in facets])
+    return MonomialIdeal(d, n, [unpack(m, n, 1) for m in nonfaces])
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +427,13 @@ def target_hf(d: int, u) -> int:
     return comb(sum(u) + d - 1, d - 1)
 
 
-def _column_exponents(d: int, total: int):
+@lru_cache(maxsize=None)
+def _column_exponents(d: int, total: int) -> tuple:
     """All ways to put `total` across d rows (weak compositions)."""
     if d == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _column_exponents(d - 1, total - first):
-            out.append((first,) + rest)
-    return out
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _column_exponents(d - 1, total - first))
 
 
 def monomials_of_degree(d: int, n: int, u) -> list:
@@ -445,29 +452,9 @@ def monomials_of_degree(d: int, n: int, u) -> list:
 
 def hf_at(ideal: MonomialIdeal, u) -> int:
     """Number of standard monomials (those outside the ideal) of degree u."""
-    d, n = ideal.d, ideal.n
-    if len(u) != n:
+    if len(u) != ideal.n:
         raise ValueError("degree vector has wrong length")
-    if ideal.is_squarefree():
-        # supports suffice for divisibility by squarefree generators
-        gsup = [g.support for g in ideal.gens]
-        per_col = [_column_exponents(d, uj) for uj in u]
-        count = 0
-        for combo in product(*per_col):
-            sup = {(i + 1, j + 1)
-                   for j, col in enumerate(combo) for i, e in enumerate(col) if e}
-            if not any(s <= sup for s in gsup):
-                count += 1
-        return count
-    return sum(1 for m in monomials_of_degree(d, n, u) if m not in ideal)
-
-
-def column_profile(face, n: int) -> tuple:
-    """Number of face vertices in each column."""
-    c = [0] * n
-    for (_, j) in face:
-        c[j - 1] += 1
-    return tuple(c)
+    return len(Packing(ideal, max(u, default=0)).outside(u))
 
 
 def k_polynomial(ideal: MonomialIdeal) -> KPolynomial:
@@ -481,10 +468,17 @@ def k_polynomial(ideal: MonomialIdeal) -> KPolynomial:
     if not ideal.is_squarefree():
         raise ValueError("K-polynomial computed only for squarefree ideals")
     d, n = ideal.d, ideal.n
-    cx = stanley_reisner(ideal)
+    faces = set()
+    for facet in stanley_reisner(ideal):
+        face = facet
+        while face:
+            faces.add(face)
+            face = (face - 1) & facet
+        faces.add(0)
+    cols = _column_masks(d, n)
     profiles = {}
-    for face in cx.faces():
-        c = column_profile(face, n)
+    for face in faces:
+        c = tuple((face & m).bit_count() for m in cols)
         profiles[c] = profiles.get(c, 0) + 1
     terms = {}
     for c, cnt in profiles.items():
@@ -533,14 +527,13 @@ def multidegree_of_ideal(ideal: MonomialIdeal) -> KPolynomial:
     if not ideal.is_squarefree():
         raise ValueError("multidegree computed only for squarefree ideals")
     d, n = ideal.d, ideal.n
-    cx = stanley_reisner(ideal)
-    if not cx.facets:
-        return KPolynomial(n, {})
-    top = max(len(f) for f in cx.facets)
-    allv = set(all_grid_vars(d, n))
-    out = KPolynomial(n, {})
-    for f in cx.facets:
-        if len(f) != top:
-            continue
-        out = out + KPolynomial.monomial(column_profile(allv - f, n))
-    return out
+    facets = stanley_reisner(ideal)
+    top = max((f.bit_count() for f in facets), default=0)
+    full = (1 << d * n) - 1
+    cols = _column_masks(d, n)
+    terms = {}
+    for f in facets:
+        if f.bit_count() == top:
+            u = tuple(((full ^ f) & m).bit_count() for m in cols)
+            terms[u] = terms.get(u, 0) + 1
+    return KPolynomial(n, terms)

@@ -24,9 +24,9 @@ from math import lcm
 from operator import add, le, mul, sub
 from random import Random
 
-from .gridcore import (Monomial, MonomialIdeal, all_grid_vars,
-                       monomials_of_degree, multidegree,
-                       series_equals_diagonal, stanley_reisner)
+from .gridcore import (Monomial, MonomialIdeal, monomials_of_degree,
+                       multidegree, series_equals_diagonal, stanley_reisner,
+                       unpack)
 from .linalg import rank_sparse
 
 
@@ -769,10 +769,10 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
     """Squarefree dual: generators are the complements of the facets."""
     if not ideal.is_squarefree():
         raise ValueError("Alexander dual needs a squarefree ideal")
-    cx = stanley_reisner(ideal)
-    allv = set(all_grid_vars(ideal.d, ideal.n))
-    gens = [Monomial.from_vars(allv - set(f)) for f in cx.facets]
-    return MonomialIdeal(ideal.d, ideal.n, gens)
+    d, n = ideal.d, ideal.n
+    full = (1 << d * n) - 1
+    return MonomialIdeal(d, n, [unpack(full ^ f, n, 1)
+                                for f in stanley_reisner(ideal)])
 
 
 def graded_piece_dim(gens, u, ring=None) -> int:

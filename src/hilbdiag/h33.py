@@ -17,8 +17,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from . import groebner
-from .gridcore import (MonomialIdeal, SimplicialComplex, all_grid_vars,
-                       complex_to_ideal as sr_ideal, target_hf)
+from .gridcore import MonomialIdeal, complex_to_ideal as sr_ideal, target_hf
 
 TYPES = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -103,12 +102,6 @@ class CellComplex233:
             mask |= _cell_edge_mask(cell)
         return mask
 
-    def zero_cell_count(self) -> int:
-        return self.vertex_mask().bit_count()
-
-    def one_cell_count(self) -> int:
-        return self.edge_mask().bit_count()
-
     def is_planar(self) -> bool:
         """No 1-cell lies in more than two of the six 2-cells."""
         masks = [_cell_edge_mask(cell) for cell in self.cells]
@@ -184,13 +177,10 @@ def enumerate_h33() -> tuple:
 
 
 def complex_to_ideal(cx: CellComplex233) -> MonomialIdeal:
-    """Stanley-Reisner ideal whose facets are the six cells' variable sets."""
-    facets = []
-    for cell in cx.cells:
-        facets.append(frozenset((a + 1, j + 1)
-                                for j, f in enumerate(cell) for a in f))
-    sc = SimplicialComplex(all_grid_vars(3, 3), facets)
-    return sr_ideal(sc, 3, 3)
+    """Stanley-Reisner ideal whose facets are the six cells' variable sets:
+    row a of column j is vertex 3a + j, the row-major layout of `pack`."""
+    return sr_ideal([sum(1 << 3 * a + j for j, f in enumerate(cell) for a in f)
+                     for cell in cx.cells], 3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,12 @@ generators g, h with least common multiple L, the element
 syzygies generate the whole syzygy module of a monomial ideal, so the
 nullity of this linear system is the tangent space dimension.
 
-The system is built on packed exponent integers.  Each grid variable
-gets a fixed-width bit field, laid out row by row like
-`PolyRing.exponents`; the top bit of every field is a guard bit that no
-packed monomial sets.  The width comes from the ideal: a lift (L/g) m
-has the multidegree of L, so none of its exponents exceeds
-deg g + deg h <= 2D, D the largest generator degree, and the fields get
-enough value bits to hold 2D below the guard bit.  Products and
-quotients of monomials then never carry into a neighbouring field and
-become integer adds and subtracts.  With H the sum of the guard bits,
-g divides w exactly when ((w | H) - g) & H == H: a field borrows from its
-own guard bit, and from nowhere else, exactly when w's exponent there is
-smaller than g's.
+The system is built on the guarded packed monomials of `gridcore.Packing`
+(the layout and the divisibility test are in the `gridcore` docstring).
+A lift (L/g) m has the multidegree of L, so none of its exponents
+exceeds deg g + deg h <= 2D, D the largest generator degree, and the
+packing is sized for 2D.  The lcm of two generators is then a guarded
+compare and mask, L/g an integer subtract and (L/g) m an integer add.
 """
 
 from __future__ import annotations
@@ -27,8 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .gridcore import (Monomial, MonomialIdeal, monomials_of_degree,
-                       multidegree)
+from .gridcore import Monomial, MonomialIdeal, Packing, multidegree
 from .linalg import rank_sparse
 
 
@@ -40,55 +33,9 @@ def chain_ideal(d: int, n: int) -> MonomialIdeal:
     return MonomialIdeal(d, n, gens)
 
 
-class _Packing:
-    """The packed layout of one ideal (see the module docstring).
-
-    Field k holds the exponent of grid variable (k // n + 1, k % n + 1);
-    `guard` is the sum of the guard bits and `gens` are the minimal
-    generators in the ideal's order, packed.
-    """
-
-    __slots__ = ("d", "n", "shift", "guard", "gens")
-
-    def __init__(self, ideal: MonomialIdeal):
-        d, n = ideal.d, ideal.n
-        # every exponent of a lift (L/g) m is at most twice the largest
-        # generator degree, and must fit below the guard bit
-        top = max((g.total_degree for g in ideal.gens), default=0)
-        width = (2 * top).bit_length() + 1
-        self.d, self.n = d, n
-        self.shift = width - 1
-        self.guard = sum(1 << (k * width + width - 1) for k in range(d * n))
-        self.gens = [self.pack(g) for g in ideal.gens]
-
-    def pack(self, m: Monomial) -> int:
-        n, width = self.n, self.shift + 1
-        return sum(e << ((i - 1) * n + j - 1) * width for (i, j), e in m.exps)
-
-    def inside(self, w: int) -> bool:
-        """True iff some generator divides the packed monomial w."""
-        guard = self.guard
-        w |= guard
-        for g in self.gens:
-            if (w - g) & guard == guard:
-                return True
-        return False
-
-    def standard(self, u) -> tuple:
-        """The sorted monomials of degree u outside the ideal, and the
-        same monomials packed."""
-        out = []
-        for m in monomials_of_degree(self.d, self.n, u):
-            w = self.pack(m)
-            if not self.inside(w):
-                out.append((m, w))
-        out.sort(key=lambda pair: pair[0])
-        return [m for m, _ in out], [w for _, w in out]
-
-
 def standard_monomials(ideal: MonomialIdeal, u) -> list:
     """Monomials of multidegree u outside the ideal, sorted."""
-    return _Packing(ideal).standard(u)[0]
+    return Packing(ideal, max(u, default=0)).standard(u)[0]
 
 
 def syzygy_system(ideal: MonomialIdeal):
@@ -98,7 +45,8 @@ def syzygy_system(ideal: MonomialIdeal):
     to an unknown number, and each row is a {unknown: coefficient} dict
     that must vanish.
     """
-    packing = _Packing(ideal)
+    top = max((g.total_degree for g in ideal.gens), default=0)
+    packing = Packing(ideal, 2 * top)
     gens, packed, guard = ideal.gens, packing.gens, packing.guard
     inside = packing.inside
     by_degree = {}
@@ -119,7 +67,7 @@ def syzygy_system(ideal: MonomialIdeal):
         ga, gb = packed[a], packed[b]
         # guard bits of the fields where ga >= gb, widened to value masks
         ge = ((ga | guard) - gb) & guard
-        ge -= ge >> packing.shift
+        ge -= ge >> (packing.width - 1)
         lcm = (ga & ge) | (gb & ~ge)
         la, lb = lcm - ga, lcm - gb
         # coefficient of the monomial w in (L/g) phi(g) - (L/h) phi(h);

@@ -142,6 +142,7 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["tangent", "--ideal", "float_exponent.json"],
     ["tangent", "--ideal", "no_gens.json"],
     ["tangent", "--ideal", "bool_exponent.json"],
+    ["tangent", "--ideal", "repeated_variable.json"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -151,11 +152,15 @@ def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "no_gens.json").write_text('{"d":2,"n":2}')
     (tmp_path / "bool_exponent.json").write_text(
         '{"d":2,"n":2,"gens":[[[1,1,true]],[[2,2,1]]]}')
+    (tmp_path / "repeated_variable.json").write_text(
+        '{"d":2,"n":2,"gens":[[[1,1,1],[1,1,2]]]}')
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    if "--ideal" in argv:
+        assert err.startswith("hilbdiag: error: ") and err.count("\n") == 1
 
 
 def test_h33_csv(tmp_path, capsys):

@@ -10,26 +10,28 @@ from math import comb
 import pytest
 
 from hilbdiag.gridcore import (KPolynomial, Monomial, MonomialIdeal,
-                               SimplicialComplex, all_grid_vars,
                                complex_to_ideal, diagonal_k_polynomial, hf_at,
                                k_polynomial, monomials_of_degree, multidegree,
-                               multidegree_of_ideal, series_equals_diagonal,
-                               stanley_reisner, target_hf)
+                               multidegree_of_ideal, pack,
+                               series_equals_diagonal, stanley_reisner,
+                               target_hf, unpack)
 from hilbdiag.borel import build_z
 from hilbdiag.tangent import chain_ideal
 
 
+def vertex_mask(vars_, n):
+    """Bit (i-1)*n + (j-1) for each grid variable (i, j)."""
+    return sum(1 << (i - 1) * n + j - 1 for i, j in vars_)
+
+
 def brute_force_facets(ideal):
-    """Maximal subsets of the variables containing no generator support."""
-    verts = all_grid_vars(ideal.d, ideal.n)
-    supports = [g.support for g in ideal.gens]
-    faces = []
-    for mask in range(1 << len(verts)):
-        s = frozenset(v for k, v in enumerate(verts) if mask >> k & 1)
-        if not any(sup <= s for sup in supports):
-            faces.append(s)
-    return sorted((f for f in faces if not any(f < g for g in faces)),
-                  key=sorted)
+    """Sorted masks of the maximal vertex sets containing no generator
+    support."""
+    supports = [vertex_mask((v for v, _ in g.exps), ideal.n) for g in ideal.gens]
+    faces = [f for f in range(1 << ideal.d * ideal.n)
+             if not any(s & ~f == 0 for s in supports)]
+    return sorted(f for f in faces
+                  if not any(f != g and f & ~g == 0 for g in faces))
 
 
 def brute_force_hf(ideal, u):
@@ -68,23 +70,38 @@ def test_ideal_json_roundtrip():
     assert MonomialIdeal.from_json(z.to_json()) == z
 
 
+def test_ideal_json_rejects_repeated_variable():
+    with pytest.raises(ValueError, match="repeats a variable"):
+        MonomialIdeal.from_json({"d": 2, "n": 2, "gens": [[[1, 1, 1], [1, 1, 2]]]})
+
+
+def test_pack_layout():
+    # width 1: grid variable (i, j) is vertex (i-1)*n + (j-1)
+    assert pack(Monomial.variable(2, 3), 3, 1) == 1 << 5
+    assert pack(Monomial({(1, 1): 1, (2, 2): 1}), 2, 1) == 0b1001
+    m = Monomial({(1, 2): 3, (3, 1): 9, (2, 2): 1})
+    assert pack(m, 2, 5) == 3 << 5 | 1 << 15 | 9 << 20
+    for width in (4, 5, 8):
+        assert unpack(pack(m, 2, width), 2, width) == m
+    assert unpack(0, 2, 1) == Monomial({})
+
+
 def test_stanley_reisner_z22():
-    cx = stanley_reisner(build_z(2, 2))
-    assert set(cx.facets) == {frozenset({(1, 1), (2, 1), (2, 2)}),
-                              frozenset({(2, 1), (1, 2), (2, 2)})}
+    assert stanley_reisner(build_z(2, 2)) == (
+        vertex_mask([(1, 1), (2, 1), (2, 2)], 2),
+        vertex_mask([(1, 2), (2, 1), (2, 2)], 2))
 
 
 def test_stanley_reisner_zero_ideal():
-    cx = stanley_reisner(MonomialIdeal(1, 2, []))
-    assert cx.facets == (frozenset({(1, 1), (1, 2)}),)
+    assert stanley_reisner(MonomialIdeal(1, 2, [])) == (0b11,)
 
 
 def test_stanley_reisner_z23():
-    cx = stanley_reisner(build_z(2, 3))
-    assert len(cx.facets) == 3
-    for f in cx.facets:
-        row1 = [v for v in f if v[0] == 1]
-        assert len(row1) == 1  # each facet keeps one top-row variable
+    facets = stanley_reisner(build_z(2, 3))
+    assert len(facets) == 3
+    for f in facets:
+        # each facet keeps one top-row variable
+        assert (f & vertex_mask([(1, 1), (1, 2), (1, 3)], 3)).bit_count() == 1
 
 
 @pytest.mark.parametrize("ideal", [
@@ -93,7 +110,7 @@ def test_stanley_reisner_z23():
     MonomialIdeal(2, 2, []),
 ])
 def test_facets_match_brute_force(ideal):
-    assert list(stanley_reisner(ideal).facets) == brute_force_facets(ideal)
+    assert list(stanley_reisner(ideal)) == brute_force_facets(ideal)
 
 
 def test_stanley_reisner_rejects_non_squarefree():
@@ -103,13 +120,19 @@ def test_stanley_reisner_rejects_non_squarefree():
 
 def test_complex_ideal_roundtrip():
     for ideal in (build_z(2, 3), build_z(3, 3), chain_ideal(3, 3)):
-        cx = stanley_reisner(ideal)
-        assert complex_to_ideal(cx, ideal.d, ideal.n) == ideal
+        facets = stanley_reisner(ideal)
+        assert complex_to_ideal(facets, ideal.d, ideal.n) == ideal
 
 
 def test_complex_drops_non_maximal_facets():
-    cx = SimplicialComplex([(1, 1), (1, 2)], [{(1, 1)}, {(1, 1), (1, 2)}])
-    assert cx.facets == (frozenset({(1, 1), (1, 2)}),)
+    # the edge {x1, x2} with its vertex x1 listed too spans no non-face
+    assert complex_to_ideal([0b01, 0b11], 1, 2) == MonomialIdeal(1, 2, [])
+    for ideal in (build_z(2, 3), build_z(3, 3), chain_ideal(3, 3)):
+        facets = list(stanley_reisner(ideal))
+        f = facets[-1]
+        # f without its lowest vertex, f without its highest, the empty face
+        extra = [f & (f - 1), f ^ 1 << f.bit_length() - 1, 0]
+        assert complex_to_ideal(facets + extra, ideal.d, ideal.n) == ideal
 
 
 def test_multidegree_of_ideal_examples():
@@ -124,6 +147,8 @@ def test_multidegree_of_ideal_examples():
 
 def test_k_polynomial_examples():
     assert k_polynomial(MonomialIdeal(1, 1, [])) == KPolynomial(1, {(0,): 1})
+    # the unit ideal has the void complex, with no face at all: S/S = 0
+    assert k_polynomial(MonomialIdeal(2, 2, [Monomial({})])) == KPolynomial(2)
     kp = k_polynomial(MonomialIdeal(2, 2, [Monomial({(1, 1): 1, (1, 2): 1})]))
     assert kp == KPolynomial(2, {(0, 0): 1, (1, 1): -1})
     # two ideals of the same scheme share the K-polynomial
@@ -145,6 +170,40 @@ def test_hf_at_brute_force_agreement():
 def test_hf_at_non_squarefree():
     ideal = MonomialIdeal(2, 2, [Monomial({(1, 1): 2})])
     assert hf_at(ideal, (2, 0)) == brute_force_hf(ideal, (2, 0)) == 2
+
+
+@pytest.mark.parametrize("ideal,u,want", [
+    # degrees beyond every generator exponent: the packed fields must hold u
+    (MonomialIdeal(2, 2, [Monomial({(1, 1): 9})]), (12, 1), 18),
+    (MonomialIdeal(2, 2, [Monomial({(1, 1): 9})]), (20, 1), 18),
+    (MonomialIdeal(2, 2, [Monomial({(1, 1): 3, (2, 2): 1})]), (5, 2), 12),
+    (MonomialIdeal(1, 1, []), (2,), 1),
+    (MonomialIdeal(3, 2, []), (4, 1), 45),
+    (build_z(2, 3), (2, 3, 1), 7),
+    (MonomialIdeal(2, 2, [Monomial({})]), (0, 0), 0),
+])
+def test_hf_at_beyond_generator_exponents(ideal, u, want):
+    assert hf_at(ideal, u) == brute_force_hf(ideal, u) == want
+
+
+def test_hf_at_matches_brute_force_on_random_ideals():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        d = data.draw(st.integers(1, 3), label="d")
+        n = data.draw(st.integers(1, 3), label="n")
+        exps = st.dictionaries(
+            st.tuples(st.integers(1, d), st.integers(1, n)),
+            st.integers(0, 5), max_size=d * n)
+        gens = data.draw(st.lists(exps, max_size=6), label="gens")
+        ideal = MonomialIdeal(d, n, [Monomial(e) for e in gens])
+        u = data.draw(st.tuples(*[st.integers(0, 7)] * n), label="u")
+        assert hf_at(ideal, u) == brute_force_hf(ideal, u)
+
+    check()
 
 
 def test_target_hf_examples():

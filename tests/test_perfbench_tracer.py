@@ -25,32 +25,52 @@ def test_traced_functions_resolve(monkeypatch):
 
 
 # `Tracer.install` rebinds module attributes for the rest of the process,
-# so the traced ops run in a child interpreter.
-_TRACED_TREES = textwrap.dedent("""
+# so the traced ops run in a child interpreter: the first 50 seed-1 ops of
+# the workload named on the command line.
+_TRACED_OPS = textwrap.dedent("""
     import json, sys
     sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
     from tracer import FUNCTIONS, Tracer
     tracer = Tracer()
     tracer.install()
     import run, workloads
-    wl = workloads.Trees(1, 0, 50)
+    name = sys.argv[2]
+    wl = getattr(workloads, name.capitalize())(1, 0, 50)
     ok = wl.setup_ok and all(wl.op(item)[0] for item in wl.items)
     calls = dict(zip(FUNCTIONS, tracer.calls))
     print(json.dumps({
         "ok": ok,
-        "uncalled": [f for f in run.WORKLOADS["trees"].dominant if not calls[f]],
-        "unknowns": tracer.counts["tangent.syzygy_system.unknowns"],
-        "rows": tracer.counts["tangent.syzygy_system.rows"]}))
+        "uncalled": [f for f in run.WORKLOADS[name].dominant if not calls[f]],
+        "calls": calls,
+        "counts": tracer.counts}))
 """)
 
 
-def test_traced_trees_ops_reach_dominant_layers():
-    out = subprocess.run([sys.executable, "-c", _TRACED_TREES, str(ROOT)],
+def _traced_ops(workload):
+    out = subprocess.run([sys.executable, "-c", _TRACED_OPS, str(ROOT), workload],
                          capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["ok"]
     # `run.py --trace 1` fails when a dominant function is never called
     assert result["uncalled"] == []
+    return result
+
+
+def test_traced_trees_ops_reach_dominant_layers():
+    counts = _traced_ops("trees")["counts"]
     # the syzygy system of the first 50 seed-1 trees, as counted from the
     # Monomial-based builder
-    assert (result["unknowns"], result["rows"]) == (1464, 2190)
+    assert (counts["tangent.syzygy_system.unknowns"],
+            counts["tangent.syzygy_system.rows"]) == (1464, 2190)
+
+
+def test_traced_census_ops_reach_dominant_layers():
+    result = _traced_ops("census")
+    calls, counts = result["calls"], result["counts"]
+    # set-up dualizes the 16 class representatives, and each of the 50 ops
+    # dualizes twice: complex -> ideal, then ideal -> complex
+    assert calls["gridcore.minimal_transversals"] == 116
+    assert calls["gridcore.stanley_reisner"] == 50
+    assert (counts["gridcore.minimal_transversals.edges_in"],
+            counts["gridcore.minimal_transversals.transversals_out"]) == (869, 924)
+    assert counts["gridcore.k_polynomial.terms"] == 750

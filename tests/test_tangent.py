@@ -140,6 +140,19 @@ def test_syzygy_system_matches_reference_on_random_ideals():
     check()
 
 
+@pytest.mark.parametrize("ideal,u", [
+    # degrees beyond every generator exponent: the packed fields must hold u
+    (MonomialIdeal(1, 1, []), (2,)),
+    (MonomialIdeal(2, 2, [Monomial({(1, 1): 9})]), (12, 1)),
+    (MonomialIdeal(2, 2, [Monomial({(1, 1): 9})]), (20, 1)),
+    (MonomialIdeal(2, 2, [Monomial({(1, 1): 3, (2, 2): 1})]), (5, 2)),
+    (build_z(2, 3), (2, 3, 1)),
+])
+def test_standard_monomials_beyond_generator_exponents(ideal, u):
+    assert standard_monomials(ideal, u) == \
+        _standard_monomials_reference(ideal, u)
+
+
 def test_chain_ideal_examples():
     x = Monomial.variable
     assert chain_ideal(2, 3) == MonomialIdeal(2, 3, [
