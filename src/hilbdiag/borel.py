@@ -4,6 +4,11 @@ Z is the intersection of the coordinate primes Z_u indexed by the bounded
 integer vectors u with sum (n-1)(d-1); its Stanley-Reisner complex is
 shellable with facets F_u = {x_ij : i > u_j} in lexicographic order of u,
 and the shelling recovers the common h-polynomial of the scheme.
+
+Faces and facets are `gridcore` vertex masks (`pack` at width 1: x_ij is
+bit (i-1)n + (j-1)).  A face S of F is new, in no earlier facet G,
+exactly when it meets F & ~G for every G, so the minimal new faces of F
+are the minimal transversals of those differences.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .gridcore import Monomial, MonomialIdeal
+from .gridcore import (Monomial, MonomialIdeal, complex_to_ideal,
+                       minimal_transversals, unpack)
 
 
 def u_set(d: int, n: int) -> list:
@@ -35,54 +41,19 @@ def z_u(d: int, n: int, u) -> MonomialIdeal:
     return MonomialIdeal(d, n, gens)
 
 
-def facet_of(d: int, n: int, u) -> frozenset:
+def facet_of(d: int, n: int, u) -> int:
     """F_u = {x_ij : i > u_j}, the facet complementary to the prime of u."""
-    return frozenset((i, j + 1) for j, uj in enumerate(u)
-                     for i in range(uj + 1, d + 1))
+    return sum(1 << i * n + j for j, uj in enumerate(u) for i in range(uj, d))
 
 
 def build_z(d: int, n: int) -> MonomialIdeal:
     """Minimal generators of the intersection of all primes Z_u.
 
-    A squarefree monomial lies in every Z_u iff its support hits every
-    complement {x_ij : i <= u_j}; only the minimal row per column matters,
-    so the minimal generators use at most one variable per column.  We
-    enumerate row choices a_j in {1..d, absent} per column and keep the
-    covering choices in which every column is necessary.
+    The intersection of the primes is the Stanley-Reisner ideal of the
+    complex whose facets are their complements F_u: its minimal
+    generators are the minimal sets of variables meeting every prime.
     """
-    us = u_set(d, n)
-    nu = len(us)
-    full = (1 << nu) - 1
-    # cover_mask[j][a] = set of u's hit by taking row a in column j
-    cover = [[0] * (d + 2) for _ in range(n)]
-    for k, u in enumerate(us):
-        for j in range(n):
-            for a in range(1, u[j] + 1):
-                cover[j][a] |= 1 << k
-    gens = []
-    absent = d + 1  # sentinel: column unused
-    for a in product(range(1, d + 2), repeat=n):
-        masks = [cover[j][aj] if aj != absent else 0 for j, aj in enumerate(a)]
-        total = 0
-        for m in masks:
-            total |= m
-        if total != full:
-            continue
-        minimal = True
-        for j, aj in enumerate(a):
-            if aj == absent:
-                continue
-            rest = 0
-            for k, m in enumerate(masks):
-                if k != j:
-                    rest |= m
-            if rest == full:
-                minimal = False
-                break
-        if minimal:
-            gens.append(Monomial({(aj, j + 1): 1 for j, aj in enumerate(a)
-                                  if aj != absent}))
-    return MonomialIdeal(d, n, gens)
+    return complex_to_ideal([facet_of(d, n, u) for u in u_set(d, n)], d, n)
 
 
 def z_generators_direct(d: int, n: int) -> MonomialIdeal:
@@ -104,47 +75,12 @@ def z_generators_direct(d: int, n: int) -> MonomialIdeal:
 @dataclass(frozen=True)
 class ShellingStep:
     u: tuple
-    facet: frozenset
-    eta: frozenset
+    facet: int
+    eta: int
 
 
 class ShellingError(Exception):
     """A facet order failed the shelling condition."""
-
-
-def minimal_new_faces(facet: frozenset, earlier) -> list:
-    """Minimal faces of `facet` not contained in any earlier facet."""
-    fl = sorted(facet)
-    k = len(fl)
-    old = bytearray(1 << k)
-    pos = {v: b for b, v in enumerate(fl)}
-    for g in earlier:
-        inter = 0
-        for v in facet & g:
-            inter |= 1 << pos[v]
-        # mark every subset of the intersection as an old face
-        sub = inter
-        while True:
-            old[sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & inter
-    minimal = []
-    for mask in range(1 << k):
-        if old[mask]:
-            continue
-        # new face; is every maximal proper subface old?
-        mfree = True
-        m = mask
-        while m:
-            b = m & -m
-            if not old[mask ^ b]:
-                mfree = False
-                break
-            m ^= b
-        if mfree:
-            minimal.append(frozenset(fl[b] for b in range(k) if mask >> b & 1))
-    return minimal
 
 
 def shelling_order_check(facets) -> list:
@@ -156,7 +92,7 @@ def shelling_order_check(facets) -> list:
     """
     etas = []
     for k, f in enumerate(facets):
-        mins = minimal_new_faces(frozenset(f), facets[:k])
+        mins = minimal_transversals([f & ~g for g in facets[:k]])
         if len(mins) != 1:
             raise ShellingError("facet %d has %d minimal new faces" % (k, len(mins)))
         etas.append(mins[0])
@@ -175,11 +111,11 @@ def shelling(d: int, n: int) -> list:
     etas = shelling_order_check(facets)
     steps = []
     for u, f, eta in zip(us, facets, etas):
-        predicted = frozenset((u[j] + 1, j + 1) for j in range(1, n)
-                              if u[j] + 1 < d)
+        predicted = sum(1 << u[j] * n + j for j in range(1, n) if u[j] + 1 < d)
         if eta != predicted:
-            raise ShellingError("minimal new face of %r is %r, expected %r"
-                                % (u, sorted(eta), sorted(predicted)))
+            raise ShellingError("minimal new face of %r is %s, expected %s"
+                                % (u, unpack(eta, n, 1).to_str(d),
+                                   unpack(predicted, n, 1).to_str(d)))
         steps.append(ShellingStep(u=tuple(u), facet=f, eta=eta))
     return steps
 
@@ -194,10 +130,10 @@ def shelling_h_polynomial(steps) -> tuple:
     """h-polynomial read off a shelling: sum of z^{|eta|}."""
     if not steps:
         return (0,)
-    deg = max(len(s.eta) for s in steps)
+    deg = max(s.eta.bit_count() for s in steps)
     out = [0] * (deg + 1)
     for s in steps:
-        out[len(s.eta)] += 1
+        out[s.eta.bit_count()] += 1
     return tuple(out)
 
 

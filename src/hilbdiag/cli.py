@@ -15,14 +15,12 @@ import sys
 from fractions import Fraction
 
 from . import borel, embeddings, groebner, h33, tangent, treespace, verify
-from .gridcore import MonomialIdeal, k_polynomial, multidegree_of_ideal
+from .gridcore import MonomialIdeal, k_polynomial, multidegree_of_ideal, unpack
 
 
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj) if obj.denominator != 1 else obj.numerator
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     raise TypeError("cannot serialize %r" % type(obj))
 
 
@@ -57,6 +55,11 @@ def moves_graph_dot(graph: treespace.MovesGraph) -> str:
     return "\n".join(lines)
 
 
+def _grid_vars(mask, n):
+    """The sorted (row, col) pairs of a vertex mask."""
+    return [v for v, _ in unpack(mask, n, 1).exps]
+
+
 def cmd_borel(args):
     z = borel.build_z(args.d, args.n)
     if args.json:
@@ -68,7 +71,8 @@ def cmd_borel(args):
         }
         if args.shelling:
             data["shelling"] = [
-                {"u": list(s.u), "facet": sorted(s.facet), "eta": sorted(s.eta)}
+                {"u": list(s.u), "facet": _grid_vars(s.facet, args.n),
+                 "eta": _grid_vars(s.eta, args.n)}
                 for s in borel.shelling(args.d, args.n)]
         emit_json(data)
         return 0
@@ -78,8 +82,8 @@ def cmd_borel(args):
     print("K-polynomial terms: %d" % len(k_polynomial(z).terms))
     if args.shelling:
         for s in borel.shelling(args.d, args.n):
-            print("  u=%s facet=%s eta=%s"
-                  % (list(s.u), sorted(s.facet), sorted(s.eta)))
+            print("  u=%s facet=%s eta=%s" % (list(s.u), _grid_vars(s.facet, args.n),
+                                              _grid_vars(s.eta, args.n)))
     return 0
 
 
@@ -212,13 +216,23 @@ def load_matrix_file(path):
     are read as exact Fractions (0.1 is 1/10)."""
     with open(path) as fh:
         data = json.load(fh, parse_float=Fraction)
-    return data["matrices"] if isinstance(data, dict) else data
+    mats = data.get("matrices") if isinstance(data, dict) else data
+    if not (isinstance(mats, list) and all(
+            isinstance(m, list) and all(isinstance(r, list) for r in m) for m in mats)):
+        raise ValueError("%s holds no list of matrices (lists of rows)" % path)
+    for x in (x for m in mats for r in m for x in r):
+        if type(x) not in (int, Fraction, str):  # bool is not a number here
+            raise ValueError("matrix entry %r is not a number or a string" % (x,))
+    return mats
 
 
 def cmd_deligne(args):
     mats_raw = load_matrix_file(args.matrices)
     n = len(mats_raw)
-    d = len(mats_raw[0])
+    d = len(mats_raw[0]) if n else 0
+    if min(d, n) < 2:
+        # one matrix or one row has no 2x2 minors, as for gin
+        raise ValueError("need at least 2 matrices of size at least 2")
     mats = groebner.load_matrices_json(mats_raw, d, n)
     if args.route == "weight":
         weights, consts = _weights_from_monomial_diagonal(mats, d, n)
@@ -283,6 +297,14 @@ def cmd_verify_all(args):
     return verify.verify_all(only=only)
 
 
+def _count(text):
+    """A non-negative integer argument."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative: %r" % text)
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hilbdiag",
@@ -311,7 +333,7 @@ def main(argv=None) -> int:
     p.add_argument("--classes", action="store_true")
     p.add_argument("--table1", action="store_true")
     p.add_argument("--reps", action="store_true")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=_count, default=4)
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_h33)
 
@@ -336,13 +358,13 @@ def main(argv=None) -> int:
                                                 "minor ideals")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gin)
 
     p = sub.add_parser("collineations", help="Plucker classification and "
                                              "rank tests for quadric nets")
-    p.add_argument("--sample", type=int, default=20)
+    p.add_argument("--sample", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_collineations)
 

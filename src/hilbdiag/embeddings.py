@@ -175,6 +175,8 @@ def lafforgue_coordinates(matrices) -> dict:
     (defined up to scale).
     """
     mats = [_frac_matrix(m) for m in matrices]
+    if not mats:
+        raise ValueError("need at least one matrix")
     d = len(mats[0])
     n = len(mats)
     for k, m in enumerate(mats):

@@ -251,13 +251,6 @@ class KPolynomial:
     def to_json(self) -> list:
         return [{"u": list(u), "c": c} for u, c in sorted(self.terms.items())]
 
-    @classmethod
-    def from_json(cls, data, n=None) -> "KPolynomial":
-        terms = {tuple(item["u"]): item["c"] for item in data}
-        if n is None:
-            n = len(next(iter(terms))) if terms else 0
-        return cls(n, terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"

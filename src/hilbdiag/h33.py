@@ -7,127 +7,105 @@ to 2, whose closure has exactly ten 0-cells and fifteen 1-cells.  The
 scan below walks all 9^3 * 27^3 type-respecting choices with exact
 monotone pruning on the closure counts and finds 13824 complexes in 16
 orbits of the order-1296 relabeling group.
+
+Column j of the grid is the j-th triangle, its rows the triangle's
+vertices, so a product cell is a grid vertex mask (`gridcore.pack` at
+width 1, row a of column j is bit 3a + j): it takes t_j + 1 rows of
+column j.  The faces of a cell in the product are its submasks that meet
+every column, of dimension (bit count) - 3; the 0-cells and 1-cells of a
+closure are kept as sets of such submasks, one bit per grid mask.  The
+relabeling group permutes rows within columns and the columns
+themselves, so it acts on the cells by permuting grid bits, and the
+Stanley-Reisner ideal of a complex is the one of its cell masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import lru_cache, reduce
+from itertools import permutations, product
+from operator import and_, or_
 
 from . import groebner
-from .gridcore import MonomialIdeal, complex_to_ideal as sr_ideal, target_hf
+from .gridcore import (MonomialIdeal, _column_masks, complex_to_ideal as sr_ideal,
+                       target_hf)
 
 TYPES = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_COLUMNS = _column_masks(3, 3)
 
-_FACES = {
-    0: [frozenset({a}) for a in range(3)],
-    1: [frozenset(e) for e in combinations(range(3), 2)],
-    2: [frozenset({0, 1, 2})],
-}
-_EDGE_INDEX = {frozenset(e): k for k, e in enumerate(combinations(range(3), 2))}
+
+def _type(cell: int) -> tuple:
+    """The cell's dimension in each factor: its column profile minus one."""
+    return tuple((cell & c).bit_count() - 1 for c in _COLUMNS)
 
 
 def cells_of_type(t):
-    """All product cells of the given dimension type."""
-    return [tuple(fs) for fs in product(_FACES[t[0]], _FACES[t[1]], _FACES[t[2]])]
+    """The grid masks of all product cells of type t."""
+    # a column's row subsets of one size, in increasing mask order
+    factors = [[m for m in range(1 << 9) if m & ~c == 0 and m.bit_count() == tj + 1]
+               for c, tj in zip(_COLUMNS, t)]
+    return [a | b | c for a, b, c in product(*factors)]
 
 
-def _vertex_id(v):
-    a, b, c = v
-    return 9 * a + 3 * b + c
-
-
-def _cell_vertex_mask(cell) -> int:
-    mask = 0
-    for v in product(*cell):
-        mask |= 1 << _vertex_id(v)
-    return mask
-
-
-def _cell_edges(cell):
-    """1-subcells: choose the factor holding the edge, then vertices."""
-    out = []
-    for k in range(3):
-        if len(cell[k]) < 2:
-            continue
-        subedges = [cell[k]] if len(cell[k]) == 2 else _FACES[1]
-        others = [sorted(cell[m]) for m in range(3) if m != k]
-        for e in subedges:
-            for a in others[0]:
-                for b in others[1]:
-                    out.append((k, e, a, b))
+def _faces(cell: int, dim: int) -> int:
+    """The set of dim-dimensional faces of a cell, one bit per grid mask."""
+    out = 0
+    sub = cell
+    while sub:
+        if sub.bit_count() == dim + 3 and all(sub & c for c in _COLUMNS):
+            out |= 1 << sub
+        sub = (sub - 1) & cell
     return out
 
 
-def _edge_id(edge) -> int:
-    k, e, a, b = edge
-    return ((k * 3 + _EDGE_INDEX[e]) * 3 + a) * 3 + b
-
-
-def _cell_edge_mask(cell) -> int:
-    mask = 0
-    for edge in _cell_edges(cell):
-        mask |= 1 << _edge_id(edge)
-    return mask
-
-
 class CellComplex233:
-    """Six 2-cells, one per type, with closure bookkeeping."""
+    """Six 2-cells as grid masks, one per type, with closure bookkeeping."""
 
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        cells = tuple(tuple(frozenset(f) for f in cell) for cell in cells)
+        cells = tuple(cells)
         if len(cells) != 6:
             raise ValueError("expected six 2-cells")
         for cell, t in zip(cells, TYPES):
-            if tuple(len(f) - 1 for f in cell) != t:
+            if _type(cell) != t:
                 raise ValueError("cell %r does not have type %r" % (cell, t))
         self.cells = cells
 
     def key(self):
-        return tuple(tuple(tuple(sorted(f)) for f in cell) for cell in self.cells)
+        """Sort key: each cell's part in each column; for cells of one type
+        this orders their row sets lexicographically, column by column."""
+        return tuple(cell & c for cell in self.cells for c in _COLUMNS)
 
     def vertex_mask(self) -> int:
-        mask = 0
-        for cell in self.cells:
-            mask |= _cell_vertex_mask(cell)
-        return mask
+        return reduce(or_, (_faces(cell, 0) for cell in self.cells))
 
     def edge_mask(self) -> int:
-        mask = 0
-        for cell in self.cells:
-            mask |= _cell_edge_mask(cell)
-        return mask
+        return reduce(or_, (_faces(cell, 1) for cell in self.cells))
 
     def is_planar(self) -> bool:
         """No 1-cell lies in more than two of the six 2-cells."""
-        masks = [_cell_edge_mask(cell) for cell in self.cells]
-        e = self.edge_mask()
-        while e:
-            b = e & -e
-            if sum(1 for m in masks if m & b) > 2:
-                return False
-            e ^= b
-        return True
+        once = twice = thrice = 0
+        for cell in self.cells:
+            edges = _faces(cell, 1)
+            thrice |= twice & edges
+            twice |= once & edges
+            once |= edges
+        return not thrice
 
     def squares_share_point(self) -> bool:
-        common = ~0
-        for cell, t in zip(self.cells, TYPES):
-            if sorted(t) == [0, 1, 1]:
-                common &= _cell_vertex_mask(cell)
-        return common != 0
+        """The three cells of type (1, 1, 0) up to order have a common 0-cell."""
+        return reduce(and_, (_faces(cell, 0) for cell in self.cells[3:])) != 0
 
     def __eq__(self, other):
-        return isinstance(other, CellComplex233) and self.key() == other.key()
+        return isinstance(other, CellComplex233) and self.cells == other.cells
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.cells)
 
     def __repr__(self):
-        return "CellComplex233(%r)" % (self.key(),)
+        return "CellComplex233(%r)" % (self.cells,)
 
 
 CANDIDATE_SPACE = 9 ** 3 * 27 ** 3  # size of the raw scan
@@ -138,49 +116,36 @@ def enumerate_h33() -> tuple:
     """All admissible complexes, by exhaustive scan with monotone pruning.
 
     Closure counts only grow as cells are added, so partial choices whose
-    0-cell or 1-cell count already exceeds the targets (or can no longer
-    reach them) are cut; the final test is exact equality 10 and 15.
+    0-cell or 1-cell count already exceeds the targets 10 and 15, or can
+    no longer reach them, are cut; a full choice that is left meets both
+    exactly.
     """
-    slots = [cells_of_type(t) for t in TYPES]
-    slot_data = [[(cell, _cell_vertex_mask(cell), _cell_edge_mask(cell))
-                  for cell in cells] for cells in slots]
-    # most new vertices/edges a later slot can still contribute
-    max_v = [3, 3, 3, 4, 4, 4]
-    max_e = [3, 3, 3, 4, 4, 4]
-    suffix_v = [sum(max_v[k:]) for k in range(7)]
-    suffix_e = [sum(max_e[k:]) for k in range(7)]
-
+    slot_data = [[(cell, _faces(cell, 0), _faces(cell, 1)) for cell in cells_of_type(t)]
+                 for t in TYPES]
+    # most new 0-cells (and as many 1-cells) slot k adds: 3 for a triangle,
+    # 4 for a square
+    most = [3, 3, 3, 4, 4, 4]
+    suffix = [sum(most[k:]) for k in range(7)]
     found = []
-    choice = [None] * 6
 
-    def walk(level, vmask, emask):
+    def walk(level, vmask, emask, cells):
         if level == 6:
-            if vmask.bit_count() == 10 and emask.bit_count() == 15:
-                found.append(CellComplex233([c for c, _, _ in choice]))
+            found.append(CellComplex233(cells))
             return
-        for entry in slot_data[level]:
-            cell, vm, em = entry
+        rest = suffix[level + 1]
+        for cell, vm, em in slot_data[level]:
             nv = vmask | vm
             ne = emask | em
-            cv = nv.bit_count()
-            ce = ne.bit_count()
-            if cv > 10 or ce > 15:
-                continue
-            if cv + suffix_v[level + 1] < 10 or ce + suffix_e[level + 1] < 15:
-                continue
-            choice[level] = entry
-            walk(level + 1, nv, ne)
-        choice[level] = None
+            if 10 - rest <= nv.bit_count() <= 10 and 15 - rest <= ne.bit_count() <= 15:
+                walk(level + 1, nv, ne, cells + (cell,))
 
-    walk(0, 0, 0)
+    walk(0, 0, 0, ())
     return tuple(found)
 
 
 def complex_to_ideal(cx: CellComplex233) -> MonomialIdeal:
-    """Stanley-Reisner ideal whose facets are the six cells' variable sets:
-    row a of column j is vertex 3a + j, the row-major layout of `pack`."""
-    return sr_ideal([sum(1 << 3 * a + j for j, f in enumerate(cell) for a in f)
-                     for cell in cx.cells], 3, 3)
+    """Stanley-Reisner ideal whose facets are the six cells."""
+    return sr_ideal(cx.cells, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +162,21 @@ def symmetry_group():
     ]
 
 
+_SLOT = {t: k for k, t in enumerate(TYPES)}
+
+
 def act(cx: CellComplex233, g) -> CellComplex233:
+    """Image under g = (pi, rhos): row a of column j goes to row rhos[j][a]
+    of column pi[j], so bit 3a + j moves to bit 3 rhos[j][a] + pi[j]."""
     pi, rhos = g
+    target = [1 << 3 * rhos[j][a] + pi[j] for a in range(3) for j in range(3)]
     placed = [None] * 6
-    type_pos = {t: k for k, t in enumerate(TYPES)}
     for cell in cx.cells:
-        img = [None, None, None]
-        for j in range(3):
-            img[pi[j]] = frozenset(rhos[j][a] for a in cell[j])
-        t = tuple(len(f) - 1 for f in img)
-        placed[type_pos[t]] = tuple(img)
+        img = 0
+        for bit, moved in enumerate(target):
+            if cell >> bit & 1:
+                img |= moved
+        placed[_SLOT[_type(img)]] = img
     return CellComplex233(placed)
 
 
@@ -218,32 +188,28 @@ class SymmetryClass:
 
 
 def symmetry_classes(complexes=None) -> list:
-    """Orbits of the census under the order-1296 group."""
+    """Orbits of the census under the order-1296 group, in key order of
+    their representatives, the least complex of each orbit."""
     if complexes is None:
         complexes = enumerate_h33()
-    universe = {cx.key(): cx for cx in complexes}
+    universe = set(complexes)
     group = symmetry_group()
     unseen = set(universe)
     classes = []
-    for key in sorted(universe):
-        if key not in unseen:
+    # every lesser complex was met first, so each orbit is met at its least
+    for cx in sorted(universe, key=CellComplex233.key):
+        if cx not in unseen:
             continue
-        cx = universe[key]
-        orbit = set()
-        for g in group:
-            img = act(cx, g)
-            ik = img.key()
-            if ik not in universe:
-                raise AssertionError("census not stable under the group action")
-            orbit.add(ik)
+        orbit = {act(cx, g) for g in group}
+        if not orbit <= universe:
+            raise AssertionError("census not stable under the group action")
         unseen -= orbit
         if len(group) % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
         classes.append(SymmetryClass(
-            representative=universe[min(orbit)],
+            representative=cx,
             orbit_size=len(orbit),
             stabilizer_order=len(group) // len(orbit)))
-    classes.sort(key=lambda c: c.representative.key())
     return classes
 
 

@@ -1,6 +1,7 @@
 """The distinguished ideal: primes, intersection, shelling, h-polynomial."""
 
 from math import comb
+from random import Random
 
 import pytest
 
@@ -109,7 +110,7 @@ def _brute_force_facets(ideal):
 
 def test_facets_are_prime_complements():
     for d, n in [(2, 3), (3, 3), (4, 4)]:
-        facets = {_vertex_mask(facet_of(d, n, u), n) for u in u_set(d, n)}
+        facets = {facet_of(d, n, u) for u in u_set(d, n)}
         assert set(stanley_reisner(build_z(d, n))) == facets
         if d * n <= 9:
             assert _brute_force_facets(build_z(d, n)) == facets
@@ -118,14 +119,14 @@ def test_facets_are_prime_complements():
 def test_shelling_22():
     steps = shelling(2, 2)
     assert [s.u for s in steps] == [(0, 1), (1, 0)]
-    assert steps[0].eta == frozenset()
-    assert steps[1].eta == frozenset({(1, 2)})
+    assert steps[0].eta == 0
+    assert steps[1].eta == _vertex_mask([(1, 2)], 2)
 
 
 def test_shelling_d1():
     steps = shelling(1, 3)
     assert len(steps) == 1
-    assert steps[0].eta == frozenset()
+    assert steps[0].eta == 0
 
 
 def test_shelling_and_h_polynomial():
@@ -137,15 +138,107 @@ def test_shelling_and_h_polynomial():
 
 def test_shelling_checker_rejects_bad_order():
     with pytest.raises(ShellingError):
-        shelling_order_check([frozenset({1, 2}), frozenset({3, 4})])
+        shelling_order_check([0b00110, 0b11000])
 
 
 def test_shelling_checker_on_arbitrary_pure_complex():
     # boundary of a square: four edges, shellable in the walk order
-    facets = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}),
-              frozenset({1, 4})]
+    facets = [0b00110, 0b01100, 0b11000, 0b10010]
     etas = shelling_order_check(facets)
-    assert [len(e) for e in etas] == [0, 1, 1, 2]
+    assert [e.bit_count() for e in etas] == [0, 1, 1, 2]
+
+
+def minimal_new_faces(facet: frozenset, earlier) -> list:
+    """Minimal faces of `facet` not contained in any earlier facet."""
+    fl = sorted(facet)
+    k = len(fl)
+    old = bytearray(1 << k)
+    pos = {v: b for b, v in enumerate(fl)}
+    for g in earlier:
+        inter = 0
+        for v in facet & g:
+            inter |= 1 << pos[v]
+        # mark every subset of the intersection as an old face
+        sub = inter
+        while True:
+            old[sub] = 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & inter
+    minimal = []
+    for mask in range(1 << k):
+        if old[mask]:
+            continue
+        # new face; is every maximal proper subface old?
+        mfree = True
+        m = mask
+        while m:
+            b = m & -m
+            if not old[mask ^ b]:
+                mfree = False
+                break
+            m ^= b
+        if mfree:
+            minimal.append(frozenset(fl[b] for b in range(k) if mask >> b & 1))
+    return minimal
+
+
+def _vertices(mask):
+    return frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def _reference_check(facets):
+    """(etas, None) from the subset-marking reference, or (None, the
+    message of the first facet without a unique minimal new face)."""
+    sets = [_vertices(f) for f in facets]
+    etas = []
+    for k, f in enumerate(sets):
+        mins = minimal_new_faces(f, sets[:k])
+        if len(mins) != 1:
+            return None, "facet %d has %d minimal new faces" % (k, len(mins))
+        etas.append(sum(1 << b for b in mins[0]))
+    return etas, None
+
+
+def _agrees_with_reference(facets):
+    etas, message = _reference_check(facets)
+    if etas is not None:
+        assert shelling_order_check(facets) == etas
+    else:
+        with pytest.raises(ShellingError) as exc:
+            shelling_order_check(facets)
+        assert str(exc.value) == message
+    return etas is not None
+
+
+def test_shelling_check_matches_reference_on_z():
+    rng = Random(3)
+    orders = shellings = 0
+    for d in range(1, 6):
+        for n in range(1, 6):
+            facets = [facet_of(d, n, u) for u in u_set(d, n)]
+            assert _agrees_with_reference(facets)
+            # other orders of the same facets, shellings or not
+            for _ in range(3):
+                rng.shuffle(facets)
+                orders += 1
+                shellings += _agrees_with_reference(facets)
+    assert 0 < shellings < orders
+
+
+def test_shelling_check_matches_reference_on_random_facets():
+    rng = Random(12)
+    shellable = 0
+    for trial in range(400):
+        vertices = rng.randint(1, 7)
+        size = rng.randint(1, vertices)
+        count = rng.randint(1, 6)
+        facets = [sum(1 << b for b in rng.sample(range(vertices), size))
+                  for _ in range(count)]
+        if trial % 3 == 0:  # not pure, and possibly repeated
+            facets.append(rng.randrange(1 << vertices))
+        shellable += _agrees_with_reference(facets)
+    assert 50 < shellable < 350
 
 
 def test_h_closed_form_examples():

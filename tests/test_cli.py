@@ -143,6 +143,18 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["tangent", "--ideal", "no_gens.json"],
     ["tangent", "--ideal", "bool_exponent.json"],
     ["tangent", "--ideal", "repeated_variable.json"],
+    ["deligne", "--matrices", "empty.json"],
+    ["deligne", "--matrices", "one_by_one.json"],
+    ["deligne", "--matrices", "one_matrix.json"],
+    ["lafforgue", "--matrices", "empty.json"],
+    ["deligne", "--matrices", "no_matrices.json"],
+    ["deligne", "--matrices", "number.json"],
+    ["lafforgue", "--matrices", "rows_only.json"],
+    ["deligne", "--matrices", "null_entry.json"],
+    ["lafforgue", "--matrices", "bool_entry.json"],
+    ["h33", "--reps", "--bound", "-1"],
+    ["gin", "--d", "2", "--n", "2", "--trials", "-3"],
+    ["collineations", "--sample", "-2"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -154,12 +166,20 @@ def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
         '{"d":2,"n":2,"gens":[[[1,1,true]],[[2,2,1]]]}')
     (tmp_path / "repeated_variable.json").write_text(
         '{"d":2,"n":2,"gens":[[[1,1,1],[1,1,2]]]}')
+    (tmp_path / "empty.json").write_text("[]")
+    (tmp_path / "one_by_one.json").write_text("[[[1]],[[2]]]")
+    (tmp_path / "one_matrix.json").write_text("[[[1,0],[0,1]]]")
+    (tmp_path / "no_matrices.json").write_text('{"x": 1}')
+    (tmp_path / "number.json").write_text("5")
+    (tmp_path / "rows_only.json").write_text("[[1,2],[3,4]]")
+    (tmp_path / "null_entry.json").write_text("[[[1,null],[0,1]],[[1,0],[0,1]]]")
+    (tmp_path / "bool_entry.json").write_text("[[[1,true],[0,1]],[[1,0],[0,1]]]")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
-    if "--ideal" in argv:
+    if "--ideal" in argv or "--matrices" in argv:
         assert err.startswith("hilbdiag: error: ") and err.count("\n") == 1
 
 

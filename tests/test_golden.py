@@ -28,6 +28,7 @@ INPUTS = {
 # name -> (argv, files the command writes)
 CASES = {
     "borel_shelling_json": ("borel --d 3 --n 3 --shelling --json", ()),
+    "borel_shelling": ("borel --d 3 --n 3 --shelling", ()),
     "trees_ideals": ("trees --n 3 --ideals", ()),
     "trees_graph_dot": ("trees --n 3 --graph dot", ()),
     "h33_table1": ("h33 --table1", ()),

@@ -4,7 +4,7 @@ Derived expectations are recomputed here by brute force where feasible,
 independently of the library code paths.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -248,6 +248,19 @@ def test_diagonal_k_polynomial_matches_z():
         assert diagonal_k_polynomial(d, n) == k_polynomial(build_z(d, n))
 
 
+def test_diagonal_k_polynomial_is_column_symmetric():
+    # relabeling the columns fixes the scheme, hence its K-polynomial
+    for d in range(1, 4):
+        for n in range(1, 4):
+            kp = diagonal_k_polynomial(d, n)
+            for perm in permutations(range(n)):
+                moved = {tuple(u[perm[j]] for j in range(n)): c
+                         for u, c in kp.terms.items()}
+                assert moved == kp.terms
+
+
 def test_k_polynomial_json_roundtrip():
     kp = k_polynomial(build_z(2, 3))
-    assert KPolynomial.from_json(kp.to_json()) == kp
+    data = kp.to_json()
+    assert [t["u"] for t in data] == sorted(list(u) for u in kp.terms)
+    assert {tuple(t["u"]): t["c"] for t in data} == kp.terms

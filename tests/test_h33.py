@@ -1,9 +1,11 @@
 """The census of monomial ideals on the 3 x 3 grid."""
 
+from random import Random
+
 import pytest
 
 from hilbdiag.borel import build_z
-from hilbdiag.gridcore import series_equals_diagonal
+from hilbdiag.gridcore import Monomial, MonomialIdeal, series_equals_diagonal
 from hilbdiag.h33 import (CANDIDATE_SPACE, EXPECTED_CLASS_DATA, CellComplex233,
                           TYPES, act, cells_of_type, complex_to_ideal,
                           cubic_family_ideal, enumerate_h33,
@@ -41,15 +43,13 @@ def test_complex_to_ideal_facets():
         ideal = complex_to_ideal(cx)
         assert ideal.is_squarefree()
         # grid variable (a+1, j+1) is vertex 3a + j
-        cells = {sum(1 << 3 * a + j for j, f in enumerate(cell) for a in f)
-                 for cell in cx.cells}
         supports = [sum(1 << 3 * (i - 1) + j - 1 for (i, j), _ in g.exps)
                     for g in ideal.gens]
         faces = [f for f in range(1 << 9)
                  if not any(s & ~f == 0 for s in supports)]
         brute = {f for f in faces
                  if not any(f != g and f & ~g == 0 for g in faces)}
-        assert set(stanley_reisner(ideal)) == brute == cells
+        assert set(stanley_reisner(ideal)) == brute == set(cx.cells)
 
 
 def test_z_and_chain_are_in_the_census():
@@ -78,6 +78,30 @@ def test_group_action_is_well_defined():
     g = symmetry_group()[123]
     for cx in census[::997]:
         assert act(cx, g).key() in keys
+
+
+def _renamed(ideal, g):
+    """The ideal with grid variable (a+1, j+1) renamed (rhos[j][a]+1, pi[j]+1)."""
+    pi, rhos = g
+    return MonomialIdeal(3, 3, [
+        Monomial({(rhos[j - 1][i - 1] + 1, pi[j - 1] + 1): e for (i, j), e in m.exps})
+        for m in ideal.gens])
+
+
+def test_action_renames_the_ideal_variables():
+    census = enumerate_h33()
+    group = symmetry_group()
+    z = build_z(3, 3)
+    chain = chain_ideal(3, 3)
+    special = [cx for cx in census if complex_to_ideal(cx) in (z, chain)]
+    for cx in special + [census[0]]:
+        ideal = complex_to_ideal(cx)
+        for g in group:
+            assert complex_to_ideal(act(cx, g)) == _renamed(ideal, g)
+    rng = Random(8)
+    for cx in census[::41]:
+        g = rng.choice(group)
+        assert complex_to_ideal(act(cx, g)) == _renamed(complex_to_ideal(cx), g)
 
 
 def test_symmetry_classes():

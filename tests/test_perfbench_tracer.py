@@ -1,4 +1,5 @@
-"""The benchmark tracer's function list still names real functions.
+"""The benchmark tracer's function list still names real functions, and
+the benchmark's census outputs stay what they are.
 
 `perfbench/tracer.py` wraps the hilbdiag functions it lists by module and
 name; a rename or merge in `src/` that drops one of them would break the
@@ -74,3 +75,29 @@ def test_traced_census_ops_reach_dominant_layers():
     assert (counts["gridcore.minimal_transversals.edges_in"],
             counts["gridcore.minimal_transversals.transversals_out"]) == (869, 924)
     assert counts["gridcore.k_polynomial.terms"] == 750
+
+
+# The digest `worker.py` takes of a pass: its set-up output, then each op's.
+_CENSUS_DIGEST = textwrap.dedent("""
+    import hashlib, sys
+    sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+    import workloads
+    from worker import _canon
+    wl = workloads.Census(1, 0, 50)
+    digest = hashlib.sha256(_canon(wl.setup_output))
+    for item in wl.items:
+        ok, output = wl.op(item)
+        assert ok
+        digest.update(_canon(output))
+    print(wl.setup_ok, digest.hexdigest())
+""")
+
+
+def test_census_outputs_are_pinned():
+    # the set-up output lists the Table 1 rows with their class
+    # representatives' ideals, in row order; the ops are the first 50
+    # seed-1 census ideals
+    out = subprocess.run([sys.executable, "-c", _CENSUS_DIGEST, str(ROOT)],
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.split() == [
+        "True", "676eb27501f430fc0d4ade7a26022f048c501d5cb1e61cd1231e5a99ac5294e6"]
