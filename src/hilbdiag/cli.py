@@ -284,7 +284,7 @@ def cmd_collineations(args):
 
 
 def cmd_lafforgue(args):
-    mats = [[[Fraction(x) for x in row] for row in mat]
+    mats = [[[groebner.parse_fraction(x) for x in row] for row in mat]
             for mat in load_matrix_file(args.matrices)]
     coords = embeddings.lafforgue_coordinates(mats)
     emit_json({"types": [{"type": list(t), "minors": vec}

@@ -6,6 +6,13 @@ parameter z, elimination helpers).  Term orders are weight vectors
 refined by lex on the variable list, with an optional elimination block
 that is compared first.  Everything is exact Fraction arithmetic.
 
+Buchberger's algorithm keeps its basis as monic (lt, tail) pairs: the
+polynomial is the monomial lt plus the tail dict, so reduction and
+S-polynomials never touch a leading coefficient.  `normal_form` fills
+its remainder largest term first, and every polynomial `buchberger`
+returns lists its leading term first, with coefficient 1; callers read
+the leading monomial as `next(iter(g.terms))`.
+
 On top of that sit the pipeline operations: the two-by-two minors and
 the column-wise matrix action, initial ideals, seeded generic-initial
 sampling, pairwise ideal intersection and saturation by the added
@@ -86,9 +93,6 @@ class PolyRing:
         return isinstance(other, PolyRing) and self.names == other.names \
             and self.gridshape == other.gridshape
 
-    def __hash__(self):
-        return hash((self.names, self.gridshape))
-
     def __repr__(self):
         return "PolyRing(%s)" % ", ".join(self.names)
 
@@ -138,13 +142,8 @@ class RatPoly:
             other = RatPoly(self.ring, {(0,) * self.ring.nvars: Fraction(other)})
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self.ring.zero()
             return RatPoly(self.ring, {m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
@@ -158,14 +157,10 @@ class RatPoly:
         return RatPoly(self.ring, out)
 
     __rmul__ = __mul__
-    __radd__ = __add__
 
     def __eq__(self, other):
         return isinstance(other, RatPoly) and self.ring == other.ring \
             and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def substitute(self, images: dict) -> "RatPoly":
         """Replace variables by polynomials: images maps var index -> RatPoly."""
@@ -202,23 +197,6 @@ class RatPoly:
                 raise ValueError("polynomial involves a dropped variable")
             out[m[:k]] = c
         return RatPoly(smallring, out)
-
-    def substitute_value(self, name, value) -> "RatPoly":
-        """Evaluate one variable at a rational constant (same ring)."""
-        k = self.ring.index[name]
-        value = Fraction(value)
-        out = {}
-        for m, c in self.terms.items():
-            coeff = c * value ** m[k]
-            if not coeff:
-                continue
-            w = m[:k] + (0,) + m[k + 1:]
-            v = out.get(w, 0) + coeff
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return RatPoly(self.ring, out)
 
     def grid_multidegree(self):
         """Column-degree vector; requires Z^n-homogeneity."""
@@ -296,17 +274,12 @@ class TermOrder:
         m = max(f.terms, key=self.key)
         return m, f.terms[m]
 
-    def weight_of(self, exps):
-        if not self.weights:
-            return 0
-        return sum(map(mul, self.weights, exps))
-
     def weight_decisive(self, f: RatPoly) -> bool:
         """Whether the weight vector alone picks f's leading monomial."""
         if not self.weights or len(f.terms) <= 1:
             return True
-        best = max(self.weight_of(m) for m in f.terms)
-        return sum(1 for m in f.terms if self.weight_of(m) == best) == 1
+        weights = [sum(map(mul, self.weights, m)) for m in f.terms]
+        return weights.count(max(weights)) == 1
 
 
 def lex_order(ring) -> TermOrder:
@@ -317,17 +290,14 @@ class IndecisiveWeights(ValueError):
     """A weight vector failed to single out leading monomials."""
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def normal_form(f: RatPoly, basis, order: TermOrder) -> RatPoly:
-    """Fully reduce f modulo a list of (lt, lc, terms) triples.
+    """Fully reduce f modulo a list of monic (lt, tail) pairs.
 
     The work terms sit in a heap keyed once per monomial.  A reduction
     step only adds monomials below the one it reduces, so popping in key
     order visits the work terms largest first; an entry whose monomial
-    has since cancelled out of `work` is skipped.
+    has since cancelled out of `work` is skipped.  The remainder is
+    filled in that order, so its first term is its leading term.
     """
     neg_key = order.neg_key
     work = dict(f.terms)
@@ -339,20 +309,17 @@ def normal_form(f: RatPoly, basis, order: TermOrder) -> RatPoly:
         c = work.pop(m, None)
         if c is None:
             continue
-        for lt, lc, terms in basis:
+        for lt, tail in basis:
             if all(map(le, lt, m)):
                 q = tuple(map(sub, m, lt))
-                scale = c / lc
-                for mg, cg in terms.items():
-                    if mg == lt:
-                        continue
+                for mg, cg in tail.items():
                     w = tuple(map(add, mg, q))
                     v = work.get(w)
                     if v is None:
-                        work[w] = -scale * cg
+                        work[w] = -c * cg
                         heapq.heappush(heap, (neg_key(w), w))
                     else:
-                        v -= scale * cg
+                        v -= c * cg
                         if v:
                             work[w] = v
                         else:
@@ -365,7 +332,7 @@ def normal_form(f: RatPoly, basis, order: TermOrder) -> RatPoly:
 
 def _prepare(gens, order):
     """Monic nonzero generators without repeats, sorted deterministically,
-    as (lt, 1, terms) triples."""
+    as (lt, tail) pairs."""
     uniq = {}
     for g in gens:
         if g.is_zero():
@@ -373,18 +340,34 @@ def _prepare(gens, order):
         lt, lc = order.leading_term(g)
         terms = {m: c / lc for m, c in g.terms.items()}
         sig = tuple(sorted(terms.items()))
+        del terms[lt]  # what is left is the tail
         uniq.setdefault(sig, (order.key(lt), sig, lt, terms))
-    return [(lt, Fraction(1), terms) for _, _, lt, terms in sorted(uniq.values())]
+    return [(lt, tail) for _, _, lt, tail in sorted(uniq.values())]
+
+
+def _s_poly(ring, lcm, pi, pj):
+    """The S-polynomial of two monic pairs whose leading monomials divide
+    lcm: their leading terms cancel, leaving q_i*tail_i - q_j*tail_j."""
+    (lti, taili), (ltj, tailj) = pi, pj
+    qi = tuple(map(sub, lcm, lti))
+    qj = tuple(map(sub, lcm, ltj))
+    out = {tuple(map(add, m, qi)): c for m, c in taili.items()}
+    for m, c in tailj.items():
+        w = tuple(map(add, m, qj))
+        out[w] = out.get(w, 0) - c
+    return RatPoly(ring, out)  # drops the cancelled terms
 
 
 def buchberger(gens, order: TermOrder) -> list:
     """Reduced Groebner basis, deterministic for a given input set.
 
     Pair selection is by smallest lcm in the term order; pairs with
-    coprime leading monomials are skipped.
+    coprime leading monomials are skipped.  Each returned polynomial
+    lists its leading term first, with coefficient 1, so
+    `next(iter(g.terms))` is its leading monomial.
     """
     ring = gens[0].ring if gens else None
-    basis = _prepare(gens, order)  # (lt, lc, terms)
+    basis = _prepare(gens, order)
     if not basis:
         return []
     key = order.key
@@ -394,31 +377,19 @@ def buchberger(gens, order: TermOrder) -> list:
 
     while pairs:
         _, _, i, j, lcm = heapq.heappop(pairs)
-        lti = basis[i][0]
-        ltj = basis[j][0]
-        if tuple(a + b for a, b in zip(lti, ltj)) == lcm:
+        if tuple(map(add, basis[i][0], basis[j][0])) == lcm:
             continue  # coprime leading monomials reduce to zero
-        fi = RatPoly(ring, basis[i][2])
-        fj = RatPoly(ring, basis[j][2])
-        qi = tuple(a - b for a, b in zip(lcm, lti))
-        qj = tuple(a - b for a, b in zip(lcm, ltj))
-        s = _shift(fi, qi) * (1 / basis[i][1]) - _shift(fj, qj) * (1 / basis[j][1])
-        r = normal_form(s, basis, order)
+        r = normal_form(_s_poly(ring, lcm, basis[i], basis[j]), basis, order)
         if r.is_zero():
             continue
-        lt, lc = order.leading_term(r)
-        r = r * (1 / lc)
+        terms = iter(r.terms.items())
+        lt, lc = next(terms)
         k = len(basis)
-        basis.append((lt, Fraction(1), r.terms))
+        basis.append((lt, {m: c / lc for m, c in terms}))
         for idx in range(k):
             _push_pair(pairs, basis, idx, k, key)
 
     return _interreduce(basis, ring, order)
-
-
-def _shift(f, q):
-    return RatPoly(f.ring, {tuple(a + b for a, b in zip(m, q)): c
-                            for m, c in f.terms.items()})
 
 
 def _push_pair(pairs, basis, i, j, key):
@@ -427,33 +398,28 @@ def _push_pair(pairs, basis, i, j, key):
 
 
 def _interreduce(basis, ring, order):
-    """Minimalize leading terms, then reduce tails; canonical sorted output.
+    """Minimalize leading terms, then reduce; canonical sorted output.
 
-    `basis` holds monic (lt, 1, terms) triples.  A kept leading monomial
-    is divisible by no other kept one, so it survives the tail reduction
-    as the leading term with coefficient 1.
+    `basis` holds monic (lt, tail) pairs.  A kept leading monomial is
+    divisible by no other kept one, so reducing the whole polynomial
+    lt + tail keeps it as the first term, with coefficient 1.
     """
     keep = [b for k, b in enumerate(basis)
-            if not any(_divides(b2[0], b[0]) and (b2[0] != b[0] or k2 < k)
+            if not any(all(map(le, b2[0], b[0])) and (b2[0] != b[0] or k2 < k)
                        for k2, b2 in enumerate(basis) if k2 != k)]
     keep.sort(key=lambda b: order.key(b[0]))
-    return [normal_form(RatPoly(ring, terms), keep[:k] + keep[k + 1:], order)
-            for k, (_, _, terms) in enumerate(keep)]
+    return [normal_form(RatPoly(ring, {lt: Fraction(1), **tail}),
+                        keep[:k] + keep[k + 1:], order)
+            for k, (lt, tail) in enumerate(keep)]
 
 
 def is_groebner(basis, order) -> bool:
     """Every S-pair reduces to zero; used as a self-check in tests."""
-    prepared = [order.leading_term(g) + (g.terms,) for g in basis]
-    for i, j in combinations(range(len(basis)), 2):
-        lti, ltj = prepared[i][0], prepared[j][0]
-        lcm = tuple(max(a, b) for a, b in zip(lti, ltj))
-        qi = tuple(a - b for a, b in zip(lcm, lti))
-        qj = tuple(a - b for a, b in zip(lcm, ltj))
-        s = _shift(basis[i], qi) * (1 / prepared[i][1]) \
-            - _shift(basis[j], qj) * (1 / prepared[j][1])
-        if not normal_form(s, prepared, order).is_zero():
-            return False
-    return True
+    ring = basis[0].ring if basis else None
+    pairs = _prepare(basis, order)
+    return all(normal_form(_s_poly(ring, tuple(map(max, pi[0], pj[0])), pi, pj),
+                           pairs, order).is_zero()
+               for pi, pj in combinations(pairs, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +497,7 @@ def initial_ideal(gens, order: TermOrder):
     ring = gens[0].ring
     d, n = ring.gridshape
     decisive = all(order.weight_decisive(g) for g in gb)
-    lts = [ring.monomial(order.leading_term(g)[0]) for g in gb]
+    lts = [ring.monomial(next(iter(g.terms))) for g in gb]
     return MonomialIdeal(d, n, lts), decisive
 
 
@@ -547,13 +513,7 @@ def intersect(gens_a, gens_b) -> list:
     s = big.var("@s")
     lifted = [s * f.inject(big) for f in gens_a]
     lifted += [(big.one() - s) * g.inject(big) for g in gens_b]
-    order = TermOrder(big, elim=(big.nvars - 1,))
-    gb = buchberger(lifted, order)
-    out = []
-    for g in gb:
-        if all(m[-1] == 0 for m in g.terms):
-            out.append(g.project(ring))
-    return out
+    return _eliminate_last(lifted, ring)
 
 
 def intersect_many(ideal_gens) -> list:
@@ -569,24 +529,24 @@ def saturate_z(gens, zname="z") -> list:
     if not gens:
         return []
     ring = gens[0].ring
-    iz = ring.index[zname]
     big = ring.extend(("@t",))
-    t = big.var("@t")
-    z = big.var(zname)
     lifted = [g.inject(big) for g in gens]
-    lifted.append(big.one() - t * z)
-    order = TermOrder(big, elim=(big.nvars - 1,))
-    gb = buchberger(lifted, order)
-    out = []
-    for g in gb:
-        if all(m[-1] == 0 for m in g.terms):
-            out.append(_strip_z(g.project(ring), iz))
-    return out
+    lifted.append(big.one() - big.var("@t") * big.var(zname))
+    iz = ring.index[zname]
+    return [_strip_z(g, iz) for g in _eliminate_last(lifted, ring)]
+
+
+def _eliminate_last(lifted, ring) -> list:
+    """The reduced basis of `lifted` under the order that eliminates the
+    last variable of its ring, cut down to the elements free of that
+    variable and projected to `ring`.  Under that order a leading
+    monomial free of the variable makes the whole element free of it."""
+    big = lifted[0].ring
+    gb = buchberger(lifted, TermOrder(big, elim=(big.nvars - 1,)))
+    return [g.project(ring) for g in gb if not next(iter(g.terms))[-1]]
 
 
 def _strip_z(f: RatPoly, iz: int) -> RatPoly:
-    if f.is_zero():
-        return f
     k = min(m[iz] for m in f.terms)
     if k == 0:
         return f
@@ -605,11 +565,10 @@ def special_fiber(matrices, d, n) -> list:
     mats = [[[_entry_poly(x, ring) for x in row] for row in mat] for mat in matrices]
     gens = apply_matrices(mats, minors_ideal(d, n, ring))
     gens = [_strip_z(g, iz) for g in gens if not g.is_zero()]
-    sat = saturate_z(gens, "z")
-    fiber = [g.substitute_value("z", 0) for g in sat]
-    fiber = [g for g in fiber if not g.is_zero()]
     small = grid_ring(d, n)
-    fiber = [g.project(small) for g in fiber]
+    # z = 0 keeps the z-free terms; _strip_z left every generator some
+    fiber = [RatPoly(small, {m[:iz]: c for m, c in g.terms.items() if not m[iz]})
+             for g in saturate_z(gens, "z")]
     return buchberger(fiber, lex_order(small))
 
 
@@ -628,8 +587,9 @@ def weight_initial_route(weights, matrices, d, n) -> MonomialIdeal:
     leading monomial; the result is checked squarefree.
     """
     ring = grid_ring(d, n)
-    flat = _flatten_weights(weights, d, n)
-    order = TermOrder(ring, weights=flat)
+    if len(weights) != d or any(len(row) != n for row in weights):
+        raise ValueError("weights must be a %d x %d matrix" % (d, n))
+    order = TermOrder(ring, weights=[w for row in weights for w in row])
     gens = apply_matrices(matrices, minors_ideal(d, n, ring))
     ideal, decisive = initial_ideal(gens, order)
     if not decisive:
@@ -637,15 +597,6 @@ def weight_initial_route(weights, matrices, d, n) -> MonomialIdeal:
     if not ideal.is_squarefree():
         raise AssertionError("initial ideal is not squarefree: %r" % (ideal,))
     return ideal
-
-
-def _flatten_weights(weights, d, n):
-    if len(weights) == d and all(len(row) == n for row in weights):
-        return [w for row in weights for w in row]
-    flat = list(weights)
-    if len(flat) != d * n:
-        raise ValueError("weights must be d*n values or a d x n matrix")
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +766,15 @@ _TERM_RE = re.compile(r"""\s*([+-]?)\s*            # sign
                        """, re.VERBOSE)
 
 
+def parse_fraction(x) -> Fraction:
+    """An exact number from an int, a Fraction or a string like "3/2";
+    a zero denominator is a ValueError."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,)) from None
+
+
 def parse_z_poly(text, ring):
     """Parse strings like "z^2-3/2*z+1" into a polynomial of `ring`
     (which must contain the variable z)."""
@@ -822,7 +782,7 @@ def parse_z_poly(text, ring):
     if not text:
         raise ValueError("empty entry")
     out = ring.zero()
-    z = ring.var("z")
+    iz = ring.index["z"]
     # split into signed terms
     chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
     for chunk in chunks:
@@ -830,15 +790,10 @@ def parse_z_poly(text, ring):
         if not m or (m.group(2) is None and m.group(4) is None):
             raise ValueError("cannot parse %r" % chunk)
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        if m.group(4):
-            power = int(m.group(5)) if m.group(5) else 1
-            term = z * 1
-            for _ in range(power - 1):
-                term = term * z
-        else:
-            term = ring.one()
-        out = out + term * (sign * coeff)
+        coeff = parse_fraction(m.group(2)) if m.group(2) else Fraction(1)
+        exps = [0] * ring.nvars
+        exps[iz] = int(m.group(5) or 1) if m.group(4) else 0
+        out = out + RatPoly(ring, {tuple(exps): sign * coeff})
     return out
 
 

@@ -492,10 +492,7 @@ def decorated_tree_ideal(deco: DecoratedTree) -> list:
             q = mi[1][0] * s + mi[1][1] * t
             gens.append(ring.grid_var(1, i) * q - ring.grid_var(2, i) * p)
         component_ideals.append(gens)
-    result = component_ideals[0]
-    for gens in component_ideals[1:]:
-        result = groebner.intersect(result, gens)
-    return result
+    return groebner.intersect_many(component_ideals)
 
 
 def torus_fixed_decoration(tree: Tree) -> DecoratedTree:

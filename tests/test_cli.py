@@ -105,6 +105,18 @@ def test_deligne_routes(tmp_path, capsys):
     assert wt["ideal"] == sat["ideal"]
 
 
+def test_deligne_weight_route_reads_z0_as_one(tmp_path, capsys):
+    outs = []
+    for one in ("z^0", "1"):
+        path = tmp_path / "mats.json"
+        path.write_text(json.dumps([[[one, 0], [0, "z"]], [["1", 0], [0, "1"]]]))
+        code, out = run_cli(capsys, "deligne", "--matrices", str(path),
+                            "--route", "weight")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_collineations(capsys):
     code, out = run_cli(capsys, "collineations", "--sample", "2", "--seed", "3")
     data = json.loads(out)
@@ -155,6 +167,8 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["h33", "--reps", "--bound", "-1"],
     ["gin", "--d", "2", "--n", "2", "--trials", "-3"],
     ["collineations", "--sample", "-2"],
+    ["deligne", "--matrices", "zero_denominator_z.json"],
+    ["lafforgue", "--matrices", "zero_denominator.json"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -174,6 +188,10 @@ def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "rows_only.json").write_text("[[1,2],[3,4]]")
     (tmp_path / "null_entry.json").write_text("[[[1,null],[0,1]],[[1,0],[0,1]]]")
     (tmp_path / "bool_entry.json").write_text("[[[1,true],[0,1]],[[1,0],[0,1]]]")
+    (tmp_path / "zero_denominator_z.json").write_text(
+        '[[["2/0*z",0],[0,1]],[[1,0],[0,1]]]')
+    (tmp_path / "zero_denominator.json").write_text(
+        '[[["1/0",0],[0,1]],[[1,0],[0,1]]]')
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -163,7 +163,8 @@ def test_fraction_weights_order_like_scaled_integers():
 
 
 def _reference_normal_form(f, basis, order):
-    """normal_form as a rescan: reduce the largest work term, found by max."""
+    """normal_form as a rescan: reduce the largest work term, found by max,
+    modulo (lt, lc, terms) triples of polynomials that need not be monic."""
     work = dict(f.terms)
     rem = {}
     while work:
@@ -195,9 +196,12 @@ def test_normal_form_matches_rescan(seed):
     weights = [w for row in random_weights(3, 3, rng) for w in row]
     for order in (TermOrder(R, weights=weights), lex_order(R)):
         # reduce both modulo the raw generators, where the result depends
-        # on the reduction path, and modulo the reduced basis
+        # on the reduction path, and modulo the reduced basis; normal_form
+        # takes the monic (lt, tail) pairs of the same polynomials
         for polys in (gens, buchberger(gens, order)):
-            basis = [order.leading_term(g) + (g.terms,) for g in polys]
+            triples = [order.leading_term(g) + (g.terms,) for g in polys]
+            pairs = [(lt, {m: c / lc for m, c in terms.items() if m != lt})
+                     for lt, lc, terms in triples]
             for _ in range(4):
                 f = R.zero()
                 for g in rng.sample(gens, 3):
@@ -207,8 +211,37 @@ def test_normal_form_matches_rescan(seed):
                                                  rng.randint(1, 3))
                     f = f + mult * g
                 f = f + R.grid_var(1, 2) * R.grid_var(3, 3) * Fraction(2, 3)
-                assert normal_form(f, basis, order) == \
-                    _reference_normal_form(f, basis, order)
+                assert normal_form(f, pairs, order) == \
+                    _reference_normal_form(f, triples, order)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_basis_lists_leading_term_first(seed):
+    # initial_ideal and the elimination helper read a basis element's
+    # leading monomial as its first key, where it must have coefficient 1
+    rng = Random(seed)
+    R = grid_ring(3, 3)
+    gens = apply_matrices([random_invertible(3, rng) for _ in range(3)],
+                          minors_ideal(3, 3, R))
+    gens.append(R.grid_var(1, 1) * R.grid_var(2, 2) * R.grid_var(3, 3))
+    weights = [w for row in random_weights(3, 3, rng) for w in row]
+    # an intersection's input: the elimination block is the variable s
+    S = grid_ring(2, 3, ("s",))
+    s = S.var("s")
+    lifted = [s * f for f in apply_matrices(
+        [random_invertible(2, rng) for _ in range(3)], minors_ideal(2, 3, S))]
+    lifted += [(S.one() - s) * g for g in
+               (S.grid_var(1, 1) * 2 + S.grid_var(2, 2), S.grid_var(1, 3))]
+    for polys, order in ((gens, TermOrder(R, weights=weights)),
+                         (gens, lex_order(R)),
+                         (lifted, TermOrder(S, elim=(S.nvars - 1,))),
+                         (lifted, TermOrder(S, weights=weights[:6] + [1],
+                                            elim=(S.nvars - 1,)))):
+        gb = buchberger(polys, order)
+        assert is_groebner(gb, order)
+        for g in gb:
+            first, coeff = next(iter(g.terms.items()))
+            assert first == order.leading_term(g)[0] and coeff == 1
 
 
 def _sympy_reduced_basis(sympy, gens, ring):
@@ -279,6 +312,13 @@ def test_special_fiber_rejects_singular():
 def test_weight_route_example():
     ideal = weight_initial_route([[5, 7], [1, 2]], [IDENT2, IDENT2], 2, 2)
     assert ideal == MonomialIdeal(2, 2, [Monomial({(2, 1): 1, (1, 2): 1})])
+
+
+def test_weight_route_needs_a_weight_matrix():
+    with pytest.raises(ValueError):
+        weight_initial_route([5, 7, 1, 2], [IDENT2, IDENT2], 2, 2)
+    with pytest.raises(ValueError):
+        weight_initial_route([[5, 7, 1], [2, 3, 4]], [IDENT2, IDENT2], 2, 2)
 
 
 def test_weight_route_reports_ties():
@@ -421,8 +461,12 @@ def test_parse_z_poly():
     assert parse_z_poly("z^2-3/2*z", ring) == z * z - z * Fraction(3, 2)
     assert parse_z_poly("1", ring) == ring.one()
     assert parse_z_poly("-z", ring) == -z
-    with pytest.raises(ValueError):
-        parse_z_poly("q^2", ring)
+    assert parse_z_poly("z^0", ring) == ring.one()
+    assert parse_z_poly("3*z^0", ring) == ring.one() * 3
+    assert parse_z_poly("z^1+z^0-2", ring) == z - 1
+    for bad in ("q^2", "1/0", "2/0*z", "z+1/00"):
+        with pytest.raises(ValueError):
+            parse_z_poly(bad, ring)
 
 
 def test_load_matrices_json():

@@ -155,6 +155,25 @@ def test_representative_ideals_quick():
     assert chk.ok and chk.degrees_checked == 10
 
 
+# intersect's output on the component representatives; the h33 --reps
+# golden prints only pass/fail and degree counts
+INTERSECTED = {
+    "extra14": ["y1*y3*z2 - y2*y3*z1", "x3*z2 - y2*y3", "x3*z1 - y1*y3",
+                "x2*y3", "x2*y1", "x2*x3", "x1*y3", "x1*y2", "x1*x3", "x1*x2"],
+    "extra13": ["y1*y2*z3 - y3*z1*z2", "x3*z2", "x3*y1", "x2*y3", "x2*y1",
+                "x2*x3", "x1*y3", "x1*y2", "x1*x3", "x1*x2"],
+    "cubic(1,0,0,1)": ["y1*y2*z3 + y3*z1*z2", "x3*z2", "x3*y1", "x2*y3",
+                       "x2*y1", "x2*x3", "x1*y3", "x1*y2", "x1*x3", "x1*x2"],
+}
+
+
+def test_intersected_representatives_are_pinned():
+    got = {"extra14": rep_ideal_extra14(), "extra13": rep_ideal_extra13(),
+           "cubic(1,0,0,1)": cubic_family_ideal(1, 0, 0, 1)}
+    assert {k: [g.pretty() for g in gens] for k, gens in got.items()} \
+        == INTERSECTED
+
+
 def test_cubic_family_members():
     for coeffs in [(1, 0, 0, 1), (1, 0, 0, -1), (1, 2, 3, 4)]:
         chk = hilbert_function_check(cubic_family_ideal(*coeffs), bound=2)

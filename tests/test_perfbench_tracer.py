@@ -26,8 +26,8 @@ def test_traced_functions_resolve(monkeypatch):
 
 
 # `Tracer.install` rebinds module attributes for the rest of the process,
-# so the traced ops run in a child interpreter: the first 50 seed-1 ops of
-# the workload named on the command line.
+# so the traced ops run in a child interpreter: the first seed-1 ops of the
+# workload named on the command line, as many as the next argument says.
 _TRACED_OPS = textwrap.dedent("""
     import json, sys
     sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
@@ -36,7 +36,7 @@ _TRACED_OPS = textwrap.dedent("""
     tracer.install()
     import run, workloads
     name = sys.argv[2]
-    wl = getattr(workloads, name.capitalize())(1, 0, 50)
+    wl = getattr(workloads, name.capitalize())(1, 0, int(sys.argv[3]))
     ok = wl.setup_ok and all(wl.op(item)[0] for item in wl.items)
     calls = dict(zip(FUNCTIONS, tracer.calls))
     print(json.dumps({
@@ -47,8 +47,9 @@ _TRACED_OPS = textwrap.dedent("""
 """)
 
 
-def _traced_ops(workload):
-    out = subprocess.run([sys.executable, "-c", _TRACED_OPS, str(ROOT), workload],
+def _traced_ops(workload, ops=50):
+    out = subprocess.run([sys.executable, "-c", _TRACED_OPS, str(ROOT), workload,
+                          str(ops)],
                          capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["ok"]
@@ -75,6 +76,25 @@ def test_traced_census_ops_reach_dominant_layers():
     assert (counts["gridcore.minimal_transversals.edges_in"],
             counts["gridcore.minimal_transversals.transversals_out"]) == (869, 924)
     assert counts["gridcore.k_polynomial.terms"] == 750
+
+
+def _groebner_counts(result):
+    calls, counts = result["calls"], result["counts"]
+    return (calls["groebner.normal_form"], counts["groebner.normal_form.zero"],
+            counts["groebner.buchberger.input_gens"],
+            counts["groebner.buchberger.basis_size"])
+
+
+def test_traced_gins_ops_reach_dominant_layers():
+    # one pass of six seed-1 trials: the reductions and basis sizes of the
+    # Buchberger core, which a refactor of it must keep
+    assert _groebner_counts(_traced_ops("gins", 6)) == (541, 441, 54, 60)
+
+
+def test_traced_checks_ops_reach_dominant_layers():
+    # one round of the 48 seed-1 sub-check ops: elimination, saturation
+    # and the lex special fibres
+    assert _groebner_counts(_traced_ops("checks", 48)) == (2369, 1815, 367, 422)
 
 
 # The digest `worker.py` takes of a pass: its set-up output, then each op's.
