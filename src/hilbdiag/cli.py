@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     p.add_argument("--ideals", action="store_true")
     p.set_defaults(fn=cmd_trees)
 
-    p = sub.add_parser("h33", help="census of the 3x3 monomial ideals, "
+    p = h33_parser = sub.add_parser("h33", help="census of the 3x3 monomial ideals, "
                                    "symmetry classes and representatives")
     p.add_argument("--classes", action="store_true")
     p.add_argument("--table1", action="store_true")
@@ -378,8 +378,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify_all)
 
     args = parser.parse_args(argv)
-    if args.fn is cmd_tangent and args.basis and None in (args.d, args.n):
-        tangent_parser.error("--basis needs --d and --n")
+    if args.fn is cmd_tangent and args.basis:
+        if None in (args.d, args.n):
+            tangent_parser.error("--basis needs --d and --n")
+        if min(args.d, args.n) < 1:
+            tangent_parser.error("--d and --n must be at least 1")
+    if args.fn is cmd_h33 and args.csv and not args.table1:
+        h33_parser.error("--csv needs --table1")
     if args.fn is cmd_gin and min(args.d, args.n) < 2:
         # one row or one column has no 2x2 minors
         gin_parser.error("--d and --n must be at least 2")

@@ -2,11 +2,12 @@
 
 Three related computations: the pair of 9 x 18 multiplication matrices
 whose rank drop cuts out the 3 x 2 case inside a Grassmannian of
-quadric nets, its parametrization through six-column Plucker data, and
-the scaled-minor coordinates that embed the general case into a product
-of projective spaces.  The 2 x 3 case gets the explicit rank-four
-matrix test plus the single printed cubic that its coefficient vectors
-satisfy.
+quadric nets, its parametrization by two invertible 3 x 3 matrices U and
+V, whose Plucker coordinates are the 3 x 3 minors of the net's 3 x 9
+coefficient matrix (with one global sign), and the scaled-minor
+coordinates that embed the general case into a product of projective
+spaces.  The 2 x 3 case gets the explicit rank-four matrix test plus the
+single printed cubic that its coefficient vectors satisfy.
 """
 
 from __future__ import annotations
@@ -66,27 +67,8 @@ def collineation_matrices(A) -> CollineationMatrices:
         rank_first=rank_dense(m1), rank_second=rank_dense(m2))
 
 
-def minors_coeff_matrix() -> list:
-    """The 3 x 9 coefficient matrix of the three 2 x 2 minors themselves."""
-    A = [[Fraction(0)] * 9 for _ in range(3)]
-    for r, (i, j) in enumerate(combinations(range(1, 4), 2)):
-        A[r][_PAIR_POS[(i, j)]] = Fraction(1)
-        A[r][_PAIR_POS[(j, i)]] = Fraction(-1)
-    return A
-
-
 # ---------------------------------------------------------------------------
 # Plucker parametrization by two 3 x 3 matrices
-
-def _det3(c1, c2, c3):
-    return (c1[0] * (c2[1] * c3[2] - c2[2] * c3[1])
-            - c1[1] * (c2[0] * c3[2] - c2[2] * c3[0])
-            + c1[2] * (c2[0] * c3[1] - c2[1] * c3[0]))
-
-
-def _column(M, k):
-    return tuple(M[r][k - 1] for r in range(3))
-
 
 def uv_coeff_matrix(U, V) -> list:
     """Coefficient matrix of the net spanned by the transformed minors.
@@ -109,18 +91,25 @@ def plucker_triples():
     return list(combinations(PAIRS, 3))
 
 
+def _net_minor(A, triple):
+    """Minus the 3 x 3 minor of a net's coefficient matrix on the columns
+    of a triple of index pairs."""
+    cols = [_PAIR_POS[p] for p in triple]
+    return -groebner.matrix_det([[row[c] for c in cols] for row in A])
+
+
 def plucker_value(U, V, triple):
-    """The parametrized Plucker coordinate of an index-pair triple."""
-    (i1, i2), (j1, j2), (k1, k2) = triple
-    u = {m: _column(U, m) for m in range(1, 4)}
-    v = {m: _column(V, m) for m in range(1, 4)}
-    return (_det3(u[i1], v[i2], u[j1]) * _det3(v[j2], u[k1], v[k2])
-            - _det3(u[i1], v[i2], v[j2]) * _det3(u[j1], u[k1], v[k2]))
+    """The parametrized Plucker coordinate of an index-pair triple: minus
+    the minor of uv_coeff_matrix(U, V) on the triple's columns, so it is
+    antisymmetric under permuting the triple."""
+    return _net_minor(uv_coeff_matrix(U, V), triple)
 
 
 def plucker_pattern(triple) -> str:
     """Structural shape of the parametrized coordinate: 'zero', 'monomial'
-    or 'binomial', decided by repeated columns inside the determinants."""
+    or 'binomial', decided by repeated columns in its expansion as
+    det(u_i1, v_i2, u_j1) det(v_j2, u_k1, v_k2)
+    - det(u_i1, v_i2, v_j2) det(u_j1, u_k1, v_k2) over columns of U, V."""
     (i1, i2), (j1, j2), (k1, k2) = triple
     first = i1 != j1 and j2 != k2
     second = i2 != j2 and j1 != k1
@@ -136,15 +125,13 @@ def plucker_param(U, V) -> dict:
 
     Returns {triple: (value, pattern)}; U and V must be invertible.
     """
-    U, V = _frac_matrix(U), _frac_matrix(V)
-    if _det3(_column(U, 1), _column(U, 2), _column(U, 3)) == 0:
+    if groebner.matrix_det(U) == 0:
         raise ValueError("U is singular")
-    if _det3(_column(V, 1), _column(V, 2), _column(V, 3)) == 0:
+    if groebner.matrix_det(V) == 0:
         raise ValueError("V is singular")
-    out = {}
-    for triple in plucker_triples():
-        out[triple] = (plucker_value(U, V, triple), plucker_pattern(triple))
-    return out
+    A = uv_coeff_matrix(U, V)
+    return {triple: (_net_minor(A, triple), plucker_pattern(triple))
+            for triple in plucker_triples()}
 
 
 def plucker_classification_counts(values) -> tuple:

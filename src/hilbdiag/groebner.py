@@ -33,7 +33,7 @@ from random import Random
 
 from .gridcore import (Monomial, MonomialIdeal, monomials_of_degree,
                        multidegree, series_equals_diagonal, stanley_reisner,
-                       unpack)
+                       unpack, var_name)
 from .linalg import rank_sparse
 
 
@@ -98,9 +98,7 @@ class PolyRing:
 
 
 def grid_var_names(d, n):
-    if d <= 3:
-        return ["xyz"[i - 1] + str(j) for i in range(1, d + 1) for j in range(1, n + 1)]
-    return ["x%d%d" % (i, j) for i in range(1, d + 1) for j in range(1, n + 1)]
+    return [var_name((i, j), d) for i in range(1, d + 1) for j in range(1, n + 1)]
 
 
 def grid_ring(d, n, extra=()):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
-from operator import and_, or_
+from operator import or_
 
 from . import groebner
 from .gridcore import (MonomialIdeal, _column_masks, complex_to_ideal as sr_ideal,
@@ -93,10 +93,6 @@ class CellComplex233:
             twice |= once & edges
             once |= edges
         return not thrice
-
-    def squares_share_point(self) -> bool:
-        """The three cells of type (1, 1, 0) up to order have a common 0-cell."""
-        return reduce(and_, (_faces(cell, 0) for cell in self.cells[3:])) != 0
 
     def __eq__(self, other):
         return isinstance(other, CellComplex233) and self.cells == other.cells

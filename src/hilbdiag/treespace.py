@@ -4,9 +4,10 @@ Monomial ideals in the 2 x n case correspond bijectively to trees on
 n+1 unlabeled vertices carrying n labeled directed edges.  For distinct
 edge labels i, j the symbol z_ij is the variable x_j when edge j points
 away from edge i and y_j otherwise; the ideal of the tree is generated
-by the products z_ij z_ji over label pairs.  Because the ideal is read
-off the complete symbol table, that table doubles as the canonical form
-of a tree and no graph-canonization machinery is needed.
+by the products z_ij z_ji over label pairs.  Each tree stores its
+complete symbol table once, as the bitmask `tails` (bit i*n + j set when
+z_ij = x_j); the ideal is read off that mask, and the mask is the
+canonical form of the tree, so no graph-canonization machinery is needed.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ class Tree:
     """n labeled directed edges on n+1 unlabeled vertices.
 
     edges[k] = (tail, head) for the edge labeled k+1; vertex names are
-    internal only and carry no identity.
+    internal only and carry no identity.  `tails` is the symbol table as a
+    bitmask, built once from the parent pointers that validate the tree;
+    equality and hashing read it.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "tails")
 
     def __init__(self, edges):
         edges = [tuple(e) for e in edges]
@@ -65,8 +68,10 @@ class Tree:
             raise ValueError("expected %d vertices, got %d" % (self.n + 1, len(verts)))
         relabel = {v: k for k, v in enumerate(verts)}
         self.edges = tuple((relabel[t], relabel[h]) for t, h in edges)
-        if len(_bfs_parents(self.adjacency(), 0)) != self.n + 1:
+        parent = _bfs_parents(self.adjacency(), 0)
+        if len(parent) != self.n + 1:
             raise ValueError("edges do not form a tree")
+        self.tails = _tails_mask(self.edges, parent)
 
     def adjacency(self):
         return _adjacency(self.edges, range(self.n + 1))
@@ -79,57 +84,44 @@ class Tree:
         return deg
 
     def key(self):
-        return ztable(self)
+        """The symbols z_ij, 'x' or 'y', over ordered pairs i != j in
+        (i, j) order."""
+        n, tails = self.n, self.tails
+        return tuple('x' if tails >> i * n + j & 1 else 'y'
+                     for i in range(n) for j in range(n) if i != j)
 
     def __eq__(self, other):
-        return isinstance(other, Tree) and self.key() == other.key()
+        return isinstance(other, Tree) and (self.n, self.tails) == (other.n, other.tails)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.n, self.tails))
 
     def __repr__(self):
         return "Tree(%r)" % (list(self.edges),)
 
 
-def facing_table(tree: Tree):
-    """facing[i][j] = endpoint of edge j nearest to edge i (both 0-based).
+def _tails_mask(edges, parent):
+    """Bit i*n + j is set when the tail of edge j faces edge i (z_ij = x).
 
-    Rooted at vertex 0, every edge has a lower endpoint (the child).  Edge
-    i hangs below edge j exactly when j's lower endpoint is an ancestor of
-    i's; then that endpoint faces i, and otherwise j's upper one does.
+    Rooted where `parent` is None, every edge has a lower endpoint (the
+    child).  Edge i hangs below edge j exactly when j's lower endpoint is
+    an ancestor of i's; then that endpoint faces i, and otherwise j's
+    upper one does.  Reversing edge j therefore flips column j of the mask.
     """
-    parent = _bfs_parents(tree.adjacency(), 0)
-    lower = [h if parent[h] == t else t for t, h in tree.edges]
-    ancestors = []
-    for v in lower:
-        chain = set()
-        while v is not None:
-            chain.add(v)
-            v = parent[v]
-        ancestors.append(chain)
-    n = tree.n
-    facing = [[None] * n for _ in range(n)]
+    n = len(edges)
+    lower = [h if parent[h] == t else t for t, h in edges]
+    edge_of = {v: k for k, v in enumerate(lower)}
+    tail_lower = sum(1 << k for k, (t, _) in enumerate(edges) if t == lower[k])
+    tails = 0
     for i in range(n):
-        for j in range(n):
-            if i != j:
-                lj = lower[j]
-                facing[i][j] = lj if lj in ancestors[i] else parent[lj]
-    return facing
-
-
-def ztable(tree: Tree) -> tuple:
-    """Symbols z_ij over ordered pairs, flattened in (i, j) order.
-
-    Entry is 'x' when edge j points away from edge i (its tail faces i).
-    """
-    facing = facing_table(tree)
-    out = []
-    for i in range(tree.n):
-        for j in range(tree.n):
-            if i == j:
-                continue
-            out.append('x' if facing[i][j] == tree.edges[j][0] else 'y')
-    return tuple(out)
+        below = 0  # the edges that edge i hangs below, i itself included
+        v = lower[i]
+        while parent[v] is not None:
+            below |= 1 << edge_of[v]
+            v = parent[v]
+        row = ~(below ^ tail_lower) & ((1 << n) - 1) & ~(1 << i)
+        tails |= row << i * n
+    return tails
 
 
 @lru_cache(maxsize=None)
@@ -139,54 +131,36 @@ def enumerate_trees(n: int) -> tuple:
     Vertex-labeled trees on {0..n} are generated from their code
     sequences; rooting at vertex 0 and pushing each vertex label onto
     its parent edge yields every edge-labeled tree (n+1 times over), and
-    the 2^n orientations are layered on top.  Deduplication is by symbol
-    table; since the facing endpoints do not depend on orientations, the
-    symbol tables of all 2^n orientations are bit-flips of one base
-    table.  The count is 2^n (n+1)^(n-2).
+    the 2^n orientations are layered on top.  Deduplication is by the
+    `tails` mask; since the facing endpoints do not depend on
+    orientations, reversing edge k XORs the mask with its column k, and
+    the masks of all 2^n orientations are found without building their
+    trees.  The count is 2^n (n+1)^(n-2).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    npairs = n * (n - 1)
-    # bit positions of the ordered pairs with a fixed second label j
-    colmask = [0] * n
-    pos = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            colmask[j] |= 1 << pos
-            pos += 1
-    seen = {}
+    flips = [0]  # flips[bits]: the mask change of reversing the edges in bits
+    for k in range(n):
+        column = sum(1 << i * n + k for i in range(n) if i != k)
+        flips += [f ^ column for f in flips]
+    seen = set()
     out = []
     for code in product(range(n + 1), repeat=max(n - 1, 0)):
         parent = _tree_from_code(code, n)
         base = [(parent[v], v) for v in range(1, n + 1)]  # edge label v
-        tree = Tree(base)
-        facing = facing_table(tree)
-        packed = 0  # bit set where edge j faces edge i tail-first
-        pos = 0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if facing[i][j] == tree.edges[j][0]:
-                    packed |= 1 << pos
-                pos += 1
-        for bits in range(1 << n):
-            flip = 0
-            b = bits
-            while b:
-                low = b & -b
-                flip |= colmask[low.bit_length() - 1]
-                b ^= low
-            key = packed ^ flip
-            if key in seen:
+        tails = Tree(base).tails
+        for bits, flip in enumerate(flips):
+            if tails ^ flip in seen:
                 continue
-            edges = [(t, h) if not bits >> k & 1 else (h, t)
-                     for k, (t, h) in enumerate(base)]
-            seen[key] = len(out)
-            out.append(Tree(edges))
-    return tuple(sorted(out, key=lambda t: t.key()))
+            seen.add(tails ^ flip)
+            out.append(Tree([(t, h) if not bits >> k & 1 else (h, t)
+                             for k, (t, h) in enumerate(base)]))
+    # key() order without building the keys: the first symbol in which two
+    # trees differ decides, and 'x' (a set bit) comes first, so the trees
+    # sort by their bit-reversed masks, largest first
+    return tuple(sorted(
+        out, key=lambda t: int(format(t.tails, "0%db" % (n * n))[::-1], 2),
+        reverse=True))
 
 
 def _tree_from_code(code, n):
@@ -209,27 +183,24 @@ def _tree_from_code(code, n):
 
 
 def tree_to_ideal(tree: Tree) -> MonomialIdeal:
-    """The monomial ideal generated by z_ij z_ji over all label pairs."""
-    n = tree.n
-    facing = facing_table(tree)
-    gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            # z_ij: variable in column j+1, row 1 for x, row 2 for y
-            rj = 1 if facing[i][j] == tree.edges[j][0] else 2
-            ri = 1 if facing[j][i] == tree.edges[i][0] else 2
-            gens.append(Monomial({(rj, j + 1): 1, (ri, i + 1): 1}))
-    return MonomialIdeal(2, n, gens)
+    """The monomial ideal generated by z_ij z_ji over all label pairs;
+    z_ij is the column-j variable, in row 1 (x) when bit i*n + j of
+    `tree.tails` is set and in row 2 (y) otherwise."""
+    n, tails = tree.n, tree.tails
+    return MonomialIdeal(2, n, [
+        Monomial({(2 - (tails >> i * n + j & 1), j + 1): 1,
+                  (2 - (tails >> j * n + i & 1), i + 1): 1})
+        for i, j in combinations(range(n), 2)])
 
 
-def _symbols_from_ideal(ideal: MonomialIdeal):
-    """Recover the z_ij table from a candidate tree ideal."""
+def _tails_from_ideal(ideal: MonomialIdeal) -> int:
+    """Decode a candidate tree ideal into its `tails` mask."""
     n = ideal.n
     if ideal.d != 2:
         raise NotATreeIdeal("tree ideals live on a 2-row grid")
     if len(ideal.gens) != n * (n - 1) // 2:
         raise NotATreeIdeal("expected one generator per column pair")
-    z = {}
+    tails = 0
     seen_pairs = set()
     for g in ideal.gens:
         if not g.is_squarefree() or g.total_degree != 2:
@@ -241,12 +212,9 @@ def _symbols_from_ideal(ideal: MonomialIdeal):
         if pair in seen_pairs:
             raise NotATreeIdeal("duplicate column pair")
         seen_pairs.add(pair)
-        # z_{i j} is the column-j variable of the pair generator
-        z[(c2 - 1, c1 - 1)] = 'x' if r1 == 1 else 'y'
-        z[(c1 - 1, c2 - 1)] = 'x' if r2 == 1 else 'y'
-    if len(seen_pairs) != n * (n - 1) // 2:
-        raise NotATreeIdeal("missing column pairs")
-    return z
+        # the column-c1 variable of the pair generator is z_{c2 c1}
+        tails |= (r1 == 1) << (c2 - 1) * n + c1 - 1 | (r2 == 1) << (c1 - 1) * n + c2 - 1
+    return tails
 
 
 def ideal_to_tree(ideal: MonomialIdeal) -> Tree:
@@ -254,47 +222,30 @@ def ideal_to_tree(ideal: MonomialIdeal) -> Tree:
 
     Two edges are adjacent iff no third edge separates them (all other
     edges face them on the same side); adjacent edges are glued at the
-    facing endpoints.  The result is verified by recomputing its ideal.
+    facing endpoints, and the vertices are the connected components of
+    the glued endpoints.  The result is verified by comparing its
+    `tails` mask with the decoded one.
     """
     n = ideal.n
-    z = _symbols_from_ideal(ideal)
-    if n == 1:
-        return Tree([(0, 1)])
+    tails = _tails_from_ideal(ideal)
 
-    def side(k, i):
-        # endpoint of edge k facing edge i: tail iff z_ik == 'x'
-        return 0 if z[(i, k)] == 'x' else 1
+    def end(k, i):
+        # endpoint 2k (tail) or 2k + 1 (head) of edge k facing edge i;
+        # the tail faces i iff z_ik = x
+        return 2 * k + 1 - (tails >> i * n + k & 1)
 
-    # union-find over endpoints (edge, 0=tail / 1=head)
-    parent = {}
-
-    def find(a):
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all(side(k, i) == side(k, j) for k in range(n) if k not in (i, j)):
-                union((i, side(i, j)), (j, side(j, i)))
-    classes = {}
-    for i in range(n):
-        for s in (0, 1):
-            classes.setdefault(find((i, s)), len(classes))
-    if len(classes) != n + 1:
-        raise NotATreeIdeal("symbol table is not realizable")
-    edges = [(classes[find((i, 0))], classes[find((i, 1))]) for i in range(n)]
+    glued = [(end(i, j), end(j, i)) for i, j in combinations(range(n), 2)
+             if all(end(k, i) == end(k, j) for k in range(n) if k not in (i, j))]
+    adj = _adjacency(glued, range(2 * n))
+    vertex = {}  # endpoint -> the first endpoint of its component
+    for e in range(2 * n):
+        if e not in vertex:
+            vertex.update(dict.fromkeys(_bfs_parents(adj, e), e))
     try:
-        tree = Tree(edges)
+        tree = Tree([(vertex[2 * k], vertex[2 * k + 1]) for k in range(n)])
     except ValueError as exc:
         raise NotATreeIdeal(str(exc))
-    if tree_to_ideal(tree) != ideal:
+    if tree.tails != tails:
         raise NotATreeIdeal("reconstructed tree does not match the ideal")
     return tree
 
@@ -355,7 +306,7 @@ def _swap_results(tree: Tree):
 
 
 class MovesGraph:
-    """Graph on the trees: vertices are canonical symbol tables."""
+    """Graph on the trees: vertices are tree keys (symbol tables)."""
 
     __slots__ = ("n", "nodes", "edges")
 
@@ -420,7 +371,7 @@ class DecoratedTree:
             mats = {i: tuple(tuple(Fraction(x) for x in row) for row in matrices[i])
                     for i in labels}
             for i, m in mats.items():
-                if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
+                if groebner.matrix_det(m) == 0:
                     raise ValueError("singular decoration matrix on factor %d" % i)
             if labels & seen:
                 raise ValueError("component labels overlap")

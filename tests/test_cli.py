@@ -169,6 +169,9 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["collineations", "--sample", "-2"],
     ["deligne", "--matrices", "zero_denominator_z.json"],
     ["lafforgue", "--matrices", "zero_denominator.json"],
+    ["tangent", "--basis", "chain", "--d", "3", "--n", "0"],
+    ["tangent", "--basis", "chain", "--d", "-1", "--n", "2"],
+    ["h33", "--csv", "table.csv"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -195,6 +198,7 @@ def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert not (tmp_path / "table.csv").exists()
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     if "--ideal" in argv or "--matrices" in argv:

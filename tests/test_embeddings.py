@@ -1,6 +1,7 @@
 """Collineation matrices, Plucker data, scaled minors, the 2x3 cubic."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -9,12 +10,10 @@ import pytest
 from hilbdiag import groebner
 from hilbdiag.embeddings import (MULTISETS, PAIRS, collineation_matrices,
                                  lafforgue_coordinates, minor_types,
-                                 minors_coeff_matrix,
                                  plucker_classification_counts, plucker_param,
                                  plucker_triples, plucker_value,
                                  tree_ideal_coeffs, uv_coeff_matrix,
-                                 x23_cubic, x23_cubic_check, x23_matrix,
-                                 _column, _det3)
+                                 x23_cubic, x23_cubic_check, x23_matrix)
 from hilbdiag.groebner import matrix_det, random_invertible
 from hilbdiag.linalg import rank_dense
 from hilbdiag.treespace import enumerate_trees, tree_to_ideal
@@ -24,6 +23,35 @@ RNG_SEED = 20260809
 
 def random_matrix(rng, rows, cols):
     return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+def minors_coeff_matrix():
+    """The 3 x 9 coefficient matrix of the three 2 x 2 minors themselves."""
+    A = [[Fraction(0)] * 9 for _ in range(3)]
+    for r, (i, j) in enumerate(combinations(range(1, 4), 2)):
+        A[r][PAIRS.index((i, j))] = Fraction(1)
+        A[r][PAIRS.index((j, i))] = Fraction(-1)
+    return A
+
+
+def _det3(c1, c2, c3):
+    return (c1[0] * (c2[1] * c3[2] - c2[2] * c3[1])
+            - c1[1] * (c2[0] * c3[2] - c2[2] * c3[0])
+            + c1[2] * (c2[0] * c3[1] - c2[1] * c3[0]))
+
+
+def _column(M, k):
+    return tuple(Fraction(M[r][k - 1]) for r in range(3))
+
+
+def plucker_by_products(U, V, triple):
+    """The parametrized Plucker coordinate as its product-of-determinants
+    formula over the columns of U and V: the oracle for the net minors."""
+    (i1, i2), (j1, j2), (k1, k2) = triple
+    u = {m: _column(U, m) for m in range(1, 4)}
+    v = {m: _column(V, m) for m in range(1, 4)}
+    return (_det3(u[i1], v[i2], u[j1]) * _det3(v[j2], u[k1], v[k2])
+            - _det3(u[i1], v[i2], v[j2]) * _det3(u[j1], u[k1], v[k2]))
 
 
 def collineation_matrices_generated(A):
@@ -133,17 +161,21 @@ def test_plucker_antisymmetry():
 
 
 def test_plucker_values_are_the_net_minors():
-    # the parametrized coordinates agree with the maximal minors of the
-    # induced net, up to one global sign
-    rng = Random(RNG_SEED + 6)
-    U = random_invertible(3, rng)
-    V = random_invertible(3, rng)
-    A = uv_coeff_matrix(U, V)
-    pairs = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    for triple in plucker_triples():
-        cols = [pairs.index(p) for p in triple]
-        sub = [[A[r][c] for c in cols] for r in range(3)]
-        assert matrix_det(sub) == -plucker_value(U, V, triple)
+    # the product-of-determinants coordinates agree with the maximal minors
+    # of the induced net, up to one global sign, and so do the computed ones
+    for seed in (6, 60, 61):
+        rng = Random(RNG_SEED + seed)
+        U = random_invertible(3, rng)
+        V = random_invertible(3, rng)
+        A = uv_coeff_matrix(U, V)
+        values = plucker_param(U, V)
+        pairs = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for triple in plucker_triples():
+            cols = [pairs.index(p) for p in triple]
+            sub = [[A[r][c] for c in cols] for r in range(3)]
+            expect = plucker_by_products(U, V, triple)
+            assert matrix_det(sub) == -expect
+            assert values[triple][0] == plucker_value(U, V, triple) == expect
 
 
 def test_plucker_rejects_singular_input():

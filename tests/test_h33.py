@@ -1,5 +1,7 @@
 """The census of monomial ideals on the 3 x 3 grid."""
 
+from functools import reduce
+from operator import and_
 from random import Random
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from hilbdiag.borel import build_z
 from hilbdiag.gridcore import Monomial, MonomialIdeal, series_equals_diagonal
 from hilbdiag.h33 import (CANDIDATE_SPACE, EXPECTED_CLASS_DATA, CellComplex233,
-                          TYPES, act, cells_of_type, complex_to_ideal,
+                          TYPES, _faces, act, cells_of_type, complex_to_ideal,
                           cubic_family_ideal, enumerate_h33,
                           hilbert_function_check, rep_ideal_extra13,
                           rep_ideal_extra14, symmetry_classes, symmetry_group,
@@ -33,8 +35,13 @@ def test_census_closure_counts():
         assert v - e + 6 == 1
 
 
+def squares_share_point(cx) -> bool:
+    """The three cells of type (1, 1, 0) up to order have a common 0-cell."""
+    return reduce(and_, (_faces(cell, 0) for cell in cx.cells[3:])) != 0
+
+
 def test_squares_share_a_common_point():
-    assert all(cx.squares_share_point() for cx in enumerate_h33())
+    assert all(squares_share_point(cx) for cx in enumerate_h33())
 
 
 def test_complex_to_ideal_facets():

@@ -1,5 +1,5 @@
 """The benchmark tracer's function list still names real functions, and
-the benchmark's census outputs stay what they are.
+the benchmark's census, trees and checks outputs stay what they are.
 
 `perfbench/tracer.py` wraps the hilbdiag functions it lists by module and
 name; a rename or merge in `src/` that drops one of them would break the
@@ -97,13 +97,15 @@ def test_traced_checks_ops_reach_dominant_layers():
     assert _groebner_counts(_traced_ops("checks", 48)) == (2369, 1815, 367, 422)
 
 
-# The digest `worker.py` takes of a pass: its set-up output, then each op's.
-_CENSUS_DIGEST = textwrap.dedent("""
+# The digest `worker.py` takes of a pass: its set-up output, then each op's,
+# for the first seed-1 ops of the workload named on the command line, as
+# many as the next argument says.
+_DIGEST = textwrap.dedent("""
     import hashlib, sys
     sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
     import workloads
     from worker import _canon
-    wl = workloads.Census(1, 0, 50)
+    wl = getattr(workloads, sys.argv[2].capitalize())(1, 0, int(sys.argv[3]))
     digest = hashlib.sha256(_canon(wl.setup_output))
     for item in wl.items:
         ok, output = wl.op(item)
@@ -113,11 +115,30 @@ _CENSUS_DIGEST = textwrap.dedent("""
 """)
 
 
+def _digest(workload, ops):
+    out = subprocess.run([sys.executable, "-c", _DIGEST, str(ROOT), workload,
+                          str(ops)],
+                         capture_output=True, text=True, check=True, timeout=300)
+    return out.stdout.split()
+
+
 def test_census_outputs_are_pinned():
     # the set-up output lists the Table 1 rows with their class
     # representatives' ideals, in row order; the ops are the first 50
     # seed-1 census ideals
-    out = subprocess.run([sys.executable, "-c", _CENSUS_DIGEST, str(ROOT)],
-                         capture_output=True, text=True, check=True, timeout=300)
-    assert out.stdout.split() == [
+    assert _digest("census", 50) == [
         "True", "676eb27501f430fc0d4ade7a26022f048c501d5cb1e61cd1231e5a99ac5294e6"]
+
+
+def test_trees_outputs_are_pinned():
+    # each op prints its tree's key, so this pins the keys, the order of
+    # `enumerate_trees` and the tangent dimensions of the first 50 trees
+    assert _digest("trees", 50) == [
+        "True", "e2e553b9903e0d9900b43332062bf55ffb755aff46e70fb11d5e8ec4f331a9b6"]
+
+
+def test_checks_outputs_are_pinned():
+    # one round of the 48 seed-1 sub-check ops, the collineation
+    # (Plucker), deligne d = 2 and tree-cubic ops among them
+    assert _digest("checks", 48) == [
+        "True", "3dd0db5ad8a1bfdc515ffc8149490519641d9fb54f9cf5526dc847671095ff68"]

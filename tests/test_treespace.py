@@ -1,5 +1,7 @@
 """Tree enumeration, the ideal bijection, moves, decorations."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,26 @@ def test_enumeration_counts():
     assert len(enumerate_trees(2)) == 4
     assert len(enumerate_trees(3)) == 32
     assert len(enumerate_trees(4)) == 400
+
+
+def test_keys_and_enumeration_order_are_pinned():
+    # every key, in the order enumerate_trees returns the trees, n <= 5
+    keys = [["".join(t.key()) for t in enumerate_trees(n)] for n in range(1, 6)]
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() \
+        == "af6906255445fb12cdff19c38ffc24ac6dcc0bf5828bd23b501a631c1ba79df5"
+
+
+def test_reversing_an_edge_flips_its_column():
+    # the orientation trick of enumerate_trees, and no bit on the diagonal
+    for tree in enumerate_trees(4):
+        n = tree.n
+        assert tree.tails >> n * n == 0
+        assert all(not tree.tails >> i * n + i & 1 for i in range(n))
+        for k in range(n):
+            edges = list(tree.edges)
+            edges[k] = edges[k][::-1]
+            column = sum(1 << i * n + k for i in range(n) if i != k)
+            assert Tree(edges).tails == tree.tails ^ column
 
 
 def test_tree_requires_tree_shape():
