@@ -328,8 +328,9 @@ def main(argv=None) -> int:
     p.add_argument("--ideals", action="store_true")
     p.set_defaults(fn=cmd_trees)
 
-    p = h33_parser = sub.add_parser("h33", help="census of the 3x3 monomial ideals, "
-                                   "symmetry classes and representatives")
+    p = h33_parser = sub.add_parser(
+        "h33", help="census of the 3x3 monomial ideals, symmetry classes "
+                    "and representatives")
     p.add_argument("--classes", action="store_true")
     p.add_argument("--table1", action="store_true")
     p.add_argument("--reps", action="store_true")

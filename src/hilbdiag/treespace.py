@@ -150,11 +150,10 @@ def enumerate_trees(n: int) -> tuple:
         base = [(parent[v], v) for v in range(1, n + 1)]  # edge label v
         tails = Tree(base).tails
         for bits, flip in enumerate(flips):
-            if tails ^ flip in seen:
-                continue
-            seen.add(tails ^ flip)
-            out.append(Tree([(t, h) if not bits >> k & 1 else (h, t)
-                             for k, (t, h) in enumerate(base)]))
+            if tails ^ flip not in seen:
+                seen.add(tails ^ flip)
+                out.append(Tree([(t, h) if not bits >> k & 1 else (h, t)
+                                 for k, (t, h) in enumerate(base)]))
     # key() order without building the keys: the first symbol in which two
     # trees differ decides, and 'x' (a set bit) comes first, so the trees
     # sort by their bit-reversed masks, largest first
