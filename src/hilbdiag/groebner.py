@@ -13,6 +13,15 @@ its remainder largest term first, and every polynomial `buchberger`
 returns lists its leading term first, with coefficient 1; callers read
 the leading monomial as `next(iter(g.terms))`.
 
+Pairs are managed by the Gebauer-Moeller update (Gebauer and Moeller
+1988): each new basis element queues only the pairs that the chain and
+product criteria cannot show redundant, and drops the queued pairs that it
+makes redundant.  A skipped pair's S-polynomial reduces to zero, or its
+reduction is covered by pairs that are kept, so the reduced basis, which
+is unique for the ideal and the order, is the one that reducing every
+pair would give; only the number of reductions falls.  `is_groebner`
+still reduces every pair, independently of the criteria.
+
 On top of that sit the pipeline operations: the two-by-two minors and
 the column-wise matrix action, initial ideals, seeded generic-initial
 sampling, pairwise ideal intersection and saturation by the added
@@ -359,40 +368,75 @@ def _s_poly(ring, lcm, pi, pj):
 def buchberger(gens, order: TermOrder) -> list:
     """Reduced Groebner basis, deterministic for a given input set.
 
-    Pair selection is by smallest lcm in the term order; pairs with
-    coprime leading monomials are skipped.  Each returned polynomial
-    lists its leading term first, with coefficient 1, so
-    `next(iter(g.terms))` is its leading monomial.
+    Each basis element, the input generators included, enters through
+    `_update`, which queues its useful pairs and drops the queued pairs it
+    makes redundant.  Pair selection is by smallest lcm in the term order,
+    then by index.  The criteria only skip S-polynomials that reduce to
+    zero or whose reduction is covered by other pairs, and the reduced
+    basis of an ideal is unique, so the output is the same as with every
+    pair reduced.  Each returned polynomial lists its leading term first,
+    with coefficient 1, so `next(iter(g.terms))` is its leading monomial.
     """
     ring = gens[0].ring if gens else None
     basis = _prepare(gens, order)
     if not basis:
         return []
     key = order.key
-    pairs = []
-    for i, j in combinations(range(len(basis)), 2):
-        _push_pair(pairs, basis, i, j, key)
+    pairs, active = [], []
+    for k in range(len(basis)):
+        _update(pairs, active, basis, k, key)
 
     while pairs:
         _, _, i, j, lcm = heapq.heappop(pairs)
-        if tuple(map(add, basis[i][0], basis[j][0])) == lcm:
-            continue  # coprime leading monomials reduce to zero
         r = normal_form(_s_poly(ring, lcm, basis[i], basis[j]), basis, order)
         if r.is_zero():
             continue
         terms = iter(r.terms.items())
         lt, lc = next(terms)
-        k = len(basis)
         basis.append((lt, {m: c / lc for m, c in terms}))
-        for idx in range(k):
-            _push_pair(pairs, basis, idx, k, key)
+        _update(pairs, active, basis, len(basis) - 1, key)
 
     return _interreduce(basis, ring, order)
 
 
-def _push_pair(pairs, basis, i, j, key):
-    lcm = tuple(max(a, b) for a, b in zip(basis[i][0], basis[j][0]))
-    heapq.heappush(pairs, (key(lcm), (i, j), i, j, lcm))
+def _update(pairs, active, basis, k, key):
+    """The Gebauer-Moeller update for the new element k of `basis`.
+
+    Updates in place the heap `pairs` of queued pairs and the list `active`
+    of the elements that may still form new ones.  Of the new pairs (i, k),
+    one is dropped when another's lcm properly divides its lcm (criterion
+    M); of those with equal lcm one is kept, none if one of them is coprime
+    (F); coprime pairs are dropped (product criterion).  A queued pair
+    (i, j) is dropped when lt(k) divides its lcm and that lcm differs from
+    those of (i, k) and (j, k) (B_k).  An element whose leading monomial
+    lt(k) divides forms no further pairs.
+    """
+    ltk = basis[k][0]
+    new = []  # (lcm, coprime, i)
+    for i in active:
+        lcm = tuple(map(max, basis[i][0], ltk))
+        new.append((lcm, tuple(map(add, basis[i][0], ltk)) == lcm, i))
+    first = {}  # lcm -> the pair kept for it, or None
+    for lcm, coprime, i in new:
+        if any(l2 != lcm and all(map(le, l2, lcm)) for l2, _, _ in new):
+            continue  # M
+        if coprime:
+            first[lcm] = None  # F and the product criterion
+        else:
+            first.setdefault(lcm, i)
+
+    def keep(pair):
+        _, _, i, j, lcm = pair
+        return not all(map(le, ltk, lcm)) \
+            or lcm == tuple(map(max, basis[i][0], ltk)) \
+            or lcm == tuple(map(max, basis[j][0], ltk))
+    pairs[:] = filter(keep, pairs)  # B_k
+    heapq.heapify(pairs)
+    for lcm, i in first.items():
+        if i is not None:
+            heapq.heappush(pairs, (key(lcm), (i, k), i, k, lcm))
+    active[:] = [i for i in active if not all(map(le, ltk, basis[i][0]))]
+    active.append(k)
 
 
 def _interreduce(basis, ring, order):

@@ -1,15 +1,19 @@
 """Polynomial arithmetic, bases, intersection/saturation, fibers, duals."""
 
+import heapq
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from operator import add
 from random import Random
 
 import pytest
 
+from hilbdiag import groebner
 from hilbdiag.borel import build_z
 from hilbdiag.gridcore import (Monomial, MonomialIdeal, hf_at,
                                series_equals_diagonal)
 from hilbdiag.groebner import (IndecisiveWeights, RatPoly, TermOrder,
+                               _interreduce, _prepare, _s_poly,
                                alexander_dual, apply_matrices, buchberger,
                                fiber_monomial_ideal, gin_sample,
                                graded_piece_dim, grid_ring, initial_ideal,
@@ -18,8 +22,10 @@ from hilbdiag.groebner import (IndecisiveWeights, RatPoly, TermOrder,
                                normal_form, parse_z_poly, random_invertible,
                                random_weights, saturate_z, special_fiber,
                                weight_initial_route)
+from hilbdiag.h33 import cubic_family_ideal, rep_ideal_extra13, rep_ideal_extra14
 from hilbdiag.tangent import chain_ideal
 from hilbdiag.treespace import enumerate_trees, tree_to_ideal
+from hilbdiag.verify import deligne_route_pair
 
 IDENT2 = [[1, 0], [0, 1]]
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -160,6 +166,127 @@ def test_fraction_weights_order_like_scaled_integers():
     gb = buchberger(gens, order)
     assert gb == buchberger(gens, ints)
     assert is_groebner(gb, order)
+
+
+def _buchberger_all_pairs(gens, order):
+    """Buchberger without the pair criteria: every pair is queued, and only
+    pairs with coprime leading monomials are skipped."""
+    ring = gens[0].ring if gens else None
+    basis = _prepare(gens, order)
+    if not basis:
+        return []
+    key = order.key
+    pairs = []
+    for i, j in combinations(range(len(basis)), 2):
+        _push_pair(pairs, basis, i, j, key)
+
+    while pairs:
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        if tuple(map(add, basis[i][0], basis[j][0])) == lcm:
+            continue  # coprime leading monomials reduce to zero
+        r = normal_form(_s_poly(ring, lcm, basis[i], basis[j]), basis, order)
+        if r.is_zero():
+            continue
+        terms = iter(r.terms.items())
+        lt, lc = next(terms)
+        k = len(basis)
+        basis.append((lt, {m: c / lc for m, c in terms}))
+        for idx in range(k):
+            _push_pair(pairs, basis, idx, k, key)
+
+    return _interreduce(basis, ring, order)
+
+
+def _push_pair(pairs, basis, i, j, key):
+    lcm = tuple(max(a, b) for a, b in zip(basis[i][0], basis[j][0]))
+    heapq.heappush(pairs, (key(lcm), (i, j), i, j, lcm))
+
+
+def _transformed_minors(d, n, rng, ring):
+    return apply_matrices([random_invertible(d, rng) for _ in range(n)],
+                          minors_ideal(d, n, ring))
+
+
+@pytest.mark.parametrize("d, n, seed", [(3, 3, 1), (3, 3, 2), (3, 3, 3),
+                                        (2, 4, 4), (2, 4, 5)])
+def test_criteria_keep_the_basis_of_transformed_minors(d, n, seed):
+    rng = Random(seed)
+    R = grid_ring(d, n)
+    gens = _transformed_minors(d, n, rng, R)
+    weights = [w for row in random_weights(d, n, rng) for w in row]
+    for order in (TermOrder(R, weights=weights), lex_order(R)):
+        assert buchberger(gens, order) == _buchberger_all_pairs(gens, order)
+
+
+def _compare_every_call(monkeypatch):
+    """Check every call that goes through `groebner.buchberger` against
+    the oracle; returns the list of the orders seen."""
+    orders = []
+
+    def checked(gens, order):
+        gb = buchberger(gens, order)
+        assert gb == _buchberger_all_pairs(gens, order)
+        orders.append(order)
+        return gb
+    monkeypatch.setattr(groebner, "buchberger", checked)
+    return orders
+
+
+def test_criteria_keep_the_intersections(monkeypatch):
+    orders = _compare_every_call(monkeypatch)
+    rep_ideal_extra14()
+    rep_ideal_extra13()
+    cubic_family_ideal(1, 0, 0, 1)
+    assert len(orders) == 9 and all(o.elim for o in orders)
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 3, 2), (3, 3, 3)])
+def test_criteria_keep_the_saturations(monkeypatch, d, n, seed):
+    # special_fiber saturates the transformed minors over z, adjoining
+    # 1 - t*z, which is not homogeneous, then takes the lex fibre
+    orders = _compare_every_call(monkeypatch)
+    iw, fib = deligne_route_pair(d, n, seed)
+    assert iw == fib
+    # weight routes until one is decisive, one saturation, one lex fibre
+    assert [bool(o.elim) for o in orders[-2:]] == [True, False]
+    assert sum(bool(o.elim) for o in orders) == 1
+
+
+def test_criteria_keep_random_small_sets():
+    # homogeneous forms of degree 1 or 2 in four variables: beyond that,
+    # the all-pairs loop can spend minutes on the coefficient growth of
+    # reductions that the criteria skip
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = grid_ring(2, 2)
+    forms = {deg: [e for e in product(range(deg + 1), repeat=R.nvars)
+                   if sum(e) == deg] for deg in (1, 2)}
+    coeffs = st.integers(-3, 3).filter(bool).map(Fraction)
+    polys = st.sampled_from((1, 2)).flatmap(lambda deg: st.dictionaries(
+        st.sampled_from(forms[deg]), coeffs, min_size=1, max_size=3))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(polys, min_size=1, max_size=5),
+                      st.sampled_from([None, (3, 1, 2, 5), (1, 1, 1, 1)]))
+    def check(terms, weights):
+        gens = [RatPoly(R, t) for t in terms]
+        order = TermOrder(R, weights=weights)
+        gb = buchberger(gens, order)
+        assert gb == _buchberger_all_pairs(gens, order)
+        assert is_groebner(gb, order)
+    check()
+
+
+def test_is_groebner_rejects_the_raw_generators():
+    # the transformed minors are not a Groebner basis under a generic
+    # weight order, so the all-pairs check must find a nonzero remainder
+    rng = Random(7)
+    R = grid_ring(3, 3)
+    gens = _transformed_minors(3, 3, rng, R)
+    order = TermOrder(R, weights=[w for row in random_weights(3, 3, rng)
+                                  for w in row])
+    assert not is_groebner(gens, order)
+    assert is_groebner(buchberger(gens, order), order)
 
 
 def _reference_normal_form(f, basis, order):
@@ -418,7 +545,6 @@ def test_hf_agrees_with_initial_ideal():
 
 
 def test_route_equality_diagonal_exponents():
-    from hilbdiag.verify import deligne_route_pair
     for d, n, seed in [(2, 2, 1), (2, 3, 2), (3, 3, 3)]:
         iw, fib = deligne_route_pair(d, n, seed)
         assert iw == fib

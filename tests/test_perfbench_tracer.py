@@ -1,5 +1,5 @@
 """The benchmark tracer's function list still names real functions, and
-the benchmark's census, trees and checks outputs stay what they are.
+the benchmark's census, trees, gins and checks outputs stay what they are.
 
 `perfbench/tracer.py` wraps the hilbdiag functions it lists by module and
 name; a rename or merge in `src/` that drops one of them would break the
@@ -87,25 +87,28 @@ def _groebner_counts(result):
 
 def test_traced_gins_ops_reach_dominant_layers():
     # one pass of six seed-1 trials: the reductions and basis sizes of the
-    # Buchberger core, which a refactor of it must keep
-    assert _groebner_counts(_traced_ops("gins", 6)) == (541, 441, 54, 60)
+    # Buchberger core, which a refactor of it must keep; the Gebauer-Moeller
+    # criteria cut the reductions from 541 (441 to zero) to 216 (116)
+    assert _groebner_counts(_traced_ops("gins", 6)) == (216, 116, 54, 60)
 
 
 def test_traced_checks_ops_reach_dominant_layers():
     # one round of the 48 seed-1 sub-check ops: elimination, saturation
-    # and the lex special fibres
-    assert _groebner_counts(_traced_ops("checks", 48)) == (2369, 1815, 367, 422)
+    # and the lex special fibres; the Gebauer-Moeller criteria cut the
+    # reductions from 2369 (1815 to zero) to 1391 (837)
+    assert _groebner_counts(_traced_ops("checks", 48)) == (1391, 837, 367, 422)
 
 
 # The digest `worker.py` takes of a pass: its set-up output, then each op's,
-# for the first seed-1 ops of the workload named on the command line, as
-# many as the next argument says.
+# for the first ops of the workload named on the command line, as many as
+# the next argument says, under the seed that the last argument gives.
 _DIGEST = textwrap.dedent("""
     import hashlib, sys
     sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
     import workloads
     from worker import _canon
-    wl = getattr(workloads, sys.argv[2].capitalize())(1, 0, int(sys.argv[3]))
+    wl = getattr(workloads, sys.argv[2].capitalize())(
+        int(sys.argv[4]), 0, int(sys.argv[3]))
     digest = hashlib.sha256(_canon(wl.setup_output))
     for item in wl.items:
         ok, output = wl.op(item)
@@ -115,9 +118,9 @@ _DIGEST = textwrap.dedent("""
 """)
 
 
-def _digest(workload, ops):
+def _digest(workload, ops, seed=1):
     out = subprocess.run([sys.executable, "-c", _DIGEST, str(ROOT), workload,
-                          str(ops)],
+                          str(ops), str(seed)],
                          capture_output=True, text=True, check=True, timeout=300)
     return out.stdout.split()
 
@@ -135,6 +138,15 @@ def test_trees_outputs_are_pinned():
     # `enumerate_trees` and the tangent dimensions of the first 50 trees
     assert _digest("trees", 50) == [
         "True", "e2e553b9903e0d9900b43332062bf55ffb755aff46e70fb11d5e8ec4f331a9b6"]
+
+
+def test_gins_outputs_are_pinned():
+    # each op prints its trial's initial ideal; seed 14 holds the
+    # triangular trial 14000005, which missed Z with entries in [-9, 9]
+    assert _digest("gins", 6) == [
+        "True", "d2331b1e678b46b9c50e77af293d3d1d1d49f3b0c9ead546d9d29fdd905b8f48"]
+    assert _digest("gins", 6, seed=14) == [
+        "True", "82e78f2d4ae2bb740762b5b90ffff1e05a089d4082dd3e6e3d96f8000032131e"]
 
 
 def test_checks_outputs_are_pinned():
