@@ -565,7 +565,7 @@ def intersect_many(ideal_gens) -> list:
     return out if out is not None else []
 
 
-def saturate_z(gens, zname="z") -> list:
+def saturate_z(gens) -> list:
     """Saturate with respect to the variable z: adjoin 1 - t*z, eliminate t,
     then strip z-contents from the output generators."""
     if not gens:
@@ -573,8 +573,8 @@ def saturate_z(gens, zname="z") -> list:
     ring = gens[0].ring
     big = ring.extend(("@t",))
     lifted = [g.inject(big) for g in gens]
-    lifted.append(big.one() - big.var("@t") * big.var(zname))
-    iz = ring.index[zname]
+    lifted.append(big.one() - big.var("@t") * big.var("z"))
+    iz = ring.index["z"]
     return [_strip_z(g, iz) for g in _eliminate_last(lifted, ring)]
 
 
@@ -610,7 +610,7 @@ def special_fiber(matrices, d, n) -> list:
     small = grid_ring(d, n)
     # z = 0 keeps the z-free terms; _strip_z left every generator some
     fiber = [RatPoly(small, {m[:iz]: c for m, c in g.terms.items() if not m[iz]})
-             for g in saturate_z(gens, "z")]
+             for g in saturate_z(gens)]
     return buchberger(fiber, lex_order(small))
 
 

@@ -314,9 +314,8 @@ class MovesGraph:
         self.nodes = nodes      # key -> Tree
         self.edges = edges      # frozenset({key1, key2}) -> set of move tags
 
-    def edge_count(self, kind=None) -> int:
-        if kind is None:
-            return len(self.edges)
+    def edge_count(self, kind) -> int:
+        """The number of edges with at least one move of this kind."""
         return sum(1 for tags in self.edges.values()
                    if any(t[0] == kind for t in tags))
 

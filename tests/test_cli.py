@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hilbdiag import verify
 from hilbdiag.cli import main
 
 
@@ -172,6 +173,8 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["tangent", "--basis", "chain", "--d", "3", "--n", "0"],
     ["tangent", "--basis", "chain", "--d", "-1", "--n", "2"],
     ["h33", "--csv", "table.csv"],
+    ["verify-all", "--only", "bogus"],
+    ["tangent", "--basis", "foo", "--d", "2", "--n", "2"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -218,3 +221,28 @@ def test_verify_all_subset(capsys):
     code, out = run_cli(capsys, "verify-all", "--only", "chain-tangent")
     assert code == 0
     assert "PASS chain-tangent" in out
+
+
+def test_failed_subchecks_replace_the_summary(monkeypatch):
+    monkeypatch.setattr(verify.tangent, "tangent_dimension", lambda ideal: -1)
+    result = verify.check_chain_tangent()
+    assert not result.passed
+    assert result.details == ["dimension wrong at (%d,%d)" % dn for dn in
+                              [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]]
+
+
+def test_exception_in_a_check_is_a_failure(monkeypatch):
+    def boom(d, n):
+        raise ValueError("boom")
+    monkeypatch.setattr(verify.tangent, "chain_ideal", boom)
+    result = verify.check_chain_tangent()
+    assert not result.passed
+    assert result.details == ["error: ValueError('boom')"]
+
+
+def test_verify_all_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(verify.tangent, "tangent_dimension", lambda ideal: -1)
+    code, out = run_cli(capsys, "verify-all", "--only", "chain-tangent")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL")
