@@ -8,16 +8,15 @@ from .gridcore import (KPolynomial, Monomial, MonomialIdeal,
                        multidegree, multidegree_of_ideal,
                        series_equals_diagonal, stanley_reisner, target_hf)
 from .borel import (build_z, h_closed_form, is_borel_fixed, shelling,
-                    u_set, z_generators_direct, z_u)
+                    u_set, z_generators_direct)
 from .tangent import chain_basis, chain_ideal, tangent_dimension, verify_basis
-from .treespace import (Tree, cross_ratio_family, decorated_tree_ideal,
-                        enumerate_trees, ideal_to_tree, is_smooth,
+from .treespace import (Tree, enumerate_trees, ideal_to_tree, is_smooth,
                         moves_graph, tree_tangent_dim, tree_to_ideal)
 from .groebner import (IndecisiveWeights, PolyRing, RatPoly, TermOrder,
-                       alexander_dual, apply_matrices, buchberger,
-                       gin_sample, graded_piece_dim, grid_ring,
-                       initial_ideal, intersect, lex_order, minors_ideal,
-                       saturate_z, special_fiber, weight_initial_route)
+                       apply_matrices, buchberger, gin_sample,
+                       graded_piece_dim, grid_ring, initial_ideal, intersect,
+                       lex_order, minors_ideal, saturate_z, special_fiber,
+                       weight_initial_route)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

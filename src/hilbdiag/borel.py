@@ -31,16 +31,6 @@ def u_set(d: int, n: int) -> list:
     return out
 
 
-def z_u(d: int, n: int, u) -> MonomialIdeal:
-    """The coordinate prime generated by all x_ij with i <= u_j."""
-    u = tuple(u)
-    if u not in set(u_set(d, n)):
-        raise ValueError("%r is not an admissible degree vector for (%d,%d)" % (u, d, n))
-    gens = [Monomial.variable(i, j + 1)
-            for j, uj in enumerate(u) for i in range(1, uj + 1)]
-    return MonomialIdeal(d, n, gens)
-
-
 def facet_of(d: int, n: int, u) -> int:
     """F_u = {x_ij : i > u_j}, the facet complementary to the prime of u."""
     return sum(1 << i * n + j for j, uj in enumerate(u) for i in range(uj, d))

@@ -341,8 +341,8 @@ def main(argv=None) -> int:
     source.add_argument("--ideal", help="JSON file with the ideal")
     source.add_argument("--basis", choices=("chain",),
                         help="emit a named basis")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=int, help="with --basis only")
+    p.add_argument("--n", type=int, help="with --basis only")
     p.set_defaults(fn=cmd_tangent)
 
     p = sub.add_parser("deligne", help="special fiber of a one-parameter "
@@ -372,12 +372,15 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_lafforgue)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.add_argument("--only", nargs="*",
+    p.add_argument("--only", nargs="+",
                    choices=[name for name, _ in verify.ALL_CHECKS],
                    help="subset of check names")
     p.set_defaults(fn=cmd_verify_all)
 
     args = parser.parse_args(argv)
+    if args.fn is cmd_tangent and args.ideal and (args.d, args.n) != (None, None):
+        # one line, like every other fault of an --ideal run
+        parser.exit(2, "%s: error: --d and --n belong to --basis\n" % parser.prog)
     if args.fn is cmd_tangent and args.basis:
         if None in (args.d, args.n):
             tangent_parser.error("--basis needs --d and --n")

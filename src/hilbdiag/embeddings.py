@@ -98,13 +98,6 @@ def _net_minor(A, triple):
     return -groebner.matrix_det([[row[c] for c in cols] for row in A])
 
 
-def plucker_value(U, V, triple):
-    """The parametrized Plucker coordinate of an index-pair triple: minus
-    the minor of uv_coeff_matrix(U, V) on the triple's columns, so it is
-    antisymmetric under permuting the triple."""
-    return _net_minor(uv_coeff_matrix(U, V), triple)
-
-
 def plucker_pattern(triple) -> str:
     """Structural shape of the parametrized coordinate: 'zero', 'monomial'
     or 'binomial', decided by repeated columns in its expansion as

@@ -80,12 +80,6 @@ class Monomial:
             exps[v] = exps.get(v, 0) + e
         return Monomial(exps)
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        exps = dict(self.exps)
-        for v, e in other.exps:
-            exps[v] = max(exps.get(v, 0), e)
-        return Monomial(exps)
-
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other; other must divide self."""
         exps = dict(self.exps)

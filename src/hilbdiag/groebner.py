@@ -26,7 +26,7 @@ On top of that sit the pipeline operations: the two-by-two minors and
 the column-wise matrix action, initial ideals, seeded generic-initial
 sampling, pairwise ideal intersection and saturation by the added
 variable trick, the z-parameter special fiber with its weight-order
-shortcut, Alexander duals, and graded-piece dimensions by exact rank.
+shortcut, and graded-piece dimensions by exact rank.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from operator import add, le, mul, sub
 from random import Random
 
 from .gridcore import (Monomial, MonomialIdeal, monomials_of_degree,
-                       multidegree, series_equals_diagonal, stanley_reisner,
-                       unpack, var_name)
+                       multidegree, series_equals_diagonal, var_name)
 from .linalg import rank_sparse
 
 
@@ -756,17 +755,7 @@ def gin_sample(d, n, trials, seed, borel_trials=None) -> GinReport:
 
 
 # ---------------------------------------------------------------------------
-# duals and graded pieces
-
-def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Squarefree dual: generators are the complements of the facets."""
-    if not ideal.is_squarefree():
-        raise ValueError("Alexander dual needs a squarefree ideal")
-    d, n = ideal.d, ideal.n
-    full = (1 << d * n) - 1
-    return MonomialIdeal(d, n, [unpack(full ^ f, n, 1)
-                                for f in stanley_reisner(ideal)])
-
+# graded pieces
 
 def graded_piece_dim(gens, u, ring=None) -> int:
     """Dimension of the quotient's graded piece at multidegree u.

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations, product
-from operator import or_
 
 from . import groebner
 from .gridcore import (MonomialIdeal, _column_masks, complex_to_ideal as sr_ideal,
@@ -77,12 +76,6 @@ class CellComplex233:
         """Sort key: each cell's part in each column; for cells of one type
         this orders their row sets lexicographically, column by column."""
         return tuple(cell & c for cell in self.cells for c in _COLUMNS)
-
-    def vertex_mask(self) -> int:
-        return reduce(or_, (_faces(cell, 0) for cell in self.cells))
-
-    def edge_mask(self) -> int:
-        return reduce(or_, (_faces(cell, 1) for cell in self.cells))
 
     def is_planar(self) -> bool:
         """No 1-cell lies in more than two of the six 2-cells."""

@@ -33,11 +33,6 @@ def chain_ideal(d: int, n: int) -> MonomialIdeal:
     return MonomialIdeal(d, n, gens)
 
 
-def standard_monomials(ideal: MonomialIdeal, u) -> list:
-    """Monomials of multidegree u outside the ideal, sorted."""
-    return Packing(ideal, max(u, default=0)).standard(u)[0]
-
-
 def syzygy_system(ideal: MonomialIdeal):
     """Unknown indexing and constraint rows for the tangent space at I.
 

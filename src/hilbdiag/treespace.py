@@ -13,12 +13,10 @@ canonical form of the tree, so no graph-canonization machinery is needed.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 from .gridcore import Monomial, MonomialIdeal
-from . import groebner
 
 
 class NotATreeIdeal(ValueError):
@@ -319,12 +317,6 @@ class MovesGraph:
         return sum(1 for tags in self.edges.values()
                    if any(t[0] == kind for t in tags))
 
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        adj = _adjacency(self.edges, self.nodes)
-        return len(_bfs_parents(adj, next(iter(self.nodes)))) == len(self.nodes)
-
 
 def moves_graph(n: int) -> MovesGraph:
     """Vertices: all trees; edges: single subset-moves and bivalent swaps."""
@@ -344,133 +336,3 @@ def moves_graph(n: int) -> MovesGraph:
             edges.setdefault(frozenset((key, ok)), set()).add(
                 ("swap", tuple(sorted((k + 1, ell + 1)))))
     return MovesGraph(n, nodes, edges)
-
-
-# ---------------------------------------------------------------------------
-# decorated trees of lines and their exact ideals
-
-class DecoratedTree:
-    """A tree of projective lines with matrices and attachment points.
-
-    components: list of (labels, matrices) where labels is an iterable of
-    factor indices in 1..n forming a partition block and matrices maps
-    each of its labels to an invertible 2x2 rational matrix.
-    attachments: list of (a, b, point_a, point_b) joining components a
-    and b; each point is a nonzero parameter pair (s, t) on that
-    component's line, up to scale.
-    """
-
-    def __init__(self, n, components, attachments):
-        self.n = n
-        self.components = []
-        seen = set()
-        for labels, matrices in components:
-            labels = frozenset(labels)
-            mats = {i: tuple(tuple(Fraction(x) for x in row) for row in matrices[i])
-                    for i in labels}
-            for i, m in mats.items():
-                if groebner.matrix_det(m) == 0:
-                    raise ValueError("singular decoration matrix on factor %d" % i)
-            if labels & seen:
-                raise ValueError("component labels overlap")
-            seen |= labels
-            self.components.append((labels, mats))
-        if seen != set(range(1, n + 1)):
-            raise ValueError("labels must partition 1..n")
-        self.attachments = []
-        for a, b, pa, pb in attachments:
-            pa, pb = tuple(map(Fraction, pa)), tuple(map(Fraction, pb))
-            if pa == (0, 0) or pb == (0, 0):
-                raise ValueError("attachment points must be nonzero")
-            self.attachments.append((a, b, pa, pb))
-        nc = len(self.components)
-        if len(self.attachments) != nc - 1 \
-                or len(_bfs_parents(self._attachment_graph(), 0)) != nc:
-            raise ValueError("attachments must form a tree on the components")
-
-    def _attachment_graph(self):
-        return _adjacency([(a, b) for a, b, _, _ in self.attachments],
-                          range(len(self.components)))
-
-    def component_of(self, label: int) -> int:
-        for c, (labels, _) in enumerate(self.components):
-            if label in labels:
-                return c
-        raise KeyError(label)
-
-    def first_step(self, src: int, dst: int):
-        """First attachment on the tree path from component src to dst;
-        returns the parameter point on the src side."""
-        adj = self._attachment_graph()
-        # rooted at dst, the parent of src is its next component on the path
-        step = _bfs_parents(adj, dst)[src]
-        k = next(k for w, k in adj[src] if w == step)
-        a, _, pa, pb = self.attachments[k]
-        return pa if a == src else pb
-
-
-def decorated_tree_ideal(deco: DecoratedTree) -> list:
-    """Generators of the intersection ideal of a decorated tree of lines.
-
-    Per component: transformed minors of its column submatrix, plus one
-    linear form per outside factor read off the nearest attachment point
-    of that factor's component.
-    """
-    n = deco.n
-    ring = groebner.grid_ring(2, n)
-    component_ideals = []
-    for cidx, (labels, mats) in enumerate(deco.components):
-        gens = []
-        cols = sorted(labels)
-        # minors of the transformed submatrix on this component's columns
-        for k, l in combinations(cols, 2):
-            ak, al = mats[k], mats[l]
-            xk = ring.grid_var(1, k) * ak[0][0] + ring.grid_var(2, k) * ak[0][1]
-            yk = ring.grid_var(1, k) * ak[1][0] + ring.grid_var(2, k) * ak[1][1]
-            xl = ring.grid_var(1, l) * al[0][0] + ring.grid_var(2, l) * al[0][1]
-            yl = ring.grid_var(1, l) * al[1][0] + ring.grid_var(2, l) * al[1][1]
-            gens.append(xk * yl - yk * xl)
-        for i in range(1, n + 1):
-            if i in labels:
-                continue
-            ci = deco.component_of(i)
-            s, t = deco.first_step(ci, cidx)
-            # image of the parameter point under the factor-i matrix
-            mi = deco.components[ci][1][i]
-            p = mi[0][0] * s + mi[0][1] * t
-            q = mi[1][0] * s + mi[1][1] * t
-            gens.append(ring.grid_var(1, i) * q - ring.grid_var(2, i) * p)
-        component_ideals.append(gens)
-    return groebner.intersect_many(component_ideals)
-
-
-def torus_fixed_decoration(tree: Tree) -> DecoratedTree:
-    """The decorated tree of a monomial tree: singleton components with
-    identity matrices, attachments at the torus-fixed endpoints."""
-    n = tree.n
-    ident = ((1, 0), (0, 1))
-    components = [({i + 1}, {i + 1: ident}) for i in range(n)]
-    attachments = []
-    adj = tree.adjacency()
-    for v in range(n + 1):
-        incident = sorted(k for _, k in adj[v])
-        hub = incident[0]
-        for k in incident[1:]:
-            # parameter of vertex v on edge e: (0,1) at the tail, (1,0) at head
-            pa = (0, 1) if tree.edges[hub][0] == v else (1, 0)
-            pb = (0, 1) if tree.edges[k][0] == v else (1, 0)
-            attachments.append((hub, k, pa, pb))
-    return DecoratedTree(n, components, attachments)
-
-
-def cross_ratio_family(t) -> list:
-    """Four lines meeting a fifth at 0, 1, infinity and t; the intersection
-    ideal depends on the cross ratio, so distinct t give distinct orbits."""
-    t = Fraction(t)
-    if t in (0, 1):
-        raise ValueError("t must keep the four marked points distinct")
-    ident = ((1, 0), (0, 1))
-    components = [({i}, {i: ident}) for i in range(1, 6)]
-    marks = [(0, 1), (1, 1), (1, 0), (t, 1)]
-    attachments = [(4, j, marks[j], (0, 1)) for j in range(4)]
-    return decorated_tree_ideal(DecoratedTree(5, components, attachments))

@@ -175,6 +175,8 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["h33", "--csv", "table.csv"],
     ["verify-all", "--only", "bogus"],
     ["tangent", "--basis", "foo", "--d", "2", "--n", "2"],
+    ["tangent", "--ideal", "chain22.json", "--d", "7", "--n", "-4"],
+    ["verify-all", "--only"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -187,6 +189,7 @@ def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "repeated_variable.json").write_text(
         '{"d":2,"n":2,"gens":[[[1,1,1],[1,1,2]]]}')
     (tmp_path / "empty.json").write_text("[]")
+    (tmp_path / "chain22.json").write_text('{"d":2,"n":2,"gens":[[[1,1,1],[2,2,1]]]}')
     (tmp_path / "one_by_one.json").write_text("[[[1]],[[2]]]")
     (tmp_path / "one_matrix.json").write_text("[[[1,0],[0,1]]]")
     (tmp_path / "no_matrices.json").write_text('{"x": 1}')

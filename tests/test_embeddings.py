@@ -8,10 +8,10 @@ from random import Random
 import pytest
 
 from hilbdiag import groebner
-from hilbdiag.embeddings import (MULTISETS, PAIRS, collineation_matrices,
-                                 lafforgue_coordinates, minor_types,
-                                 plucker_classification_counts, plucker_param,
-                                 plucker_triples, plucker_value,
+from hilbdiag.embeddings import (MULTISETS, PAIRS, _net_minor,
+                                 collineation_matrices, lafforgue_coordinates,
+                                 minor_types, plucker_classification_counts,
+                                 plucker_param, plucker_triples,
                                  tree_ideal_coeffs, uv_coeff_matrix,
                                  x23_cubic, x23_cubic_check, x23_matrix)
 from hilbdiag.groebner import matrix_det, random_invertible
@@ -19,6 +19,12 @@ from hilbdiag.linalg import rank_dense
 from hilbdiag.treespace import enumerate_trees, tree_to_ideal
 
 RNG_SEED = 20260809
+
+
+def plucker_value(U, V, triple):
+    """The parametrized Plucker coordinate of one triple, as plucker_param
+    computes it."""
+    return _net_minor(uv_coeff_matrix(U, V), triple)
 
 
 def random_matrix(rng, rows, cols):

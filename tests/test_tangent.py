@@ -6,13 +6,24 @@ from random import Random
 import pytest
 
 from hilbdiag.borel import build_z
-from hilbdiag.gridcore import (Monomial, MonomialIdeal, monomials_of_degree,
-                               multidegree)
+from hilbdiag.gridcore import (Monomial, MonomialIdeal, Packing,
+                               monomials_of_degree, multidegree)
 from hilbdiag.h33 import complex_to_ideal, symmetry_classes
 from hilbdiag.tangent import (GradedHom, chain_basis, chain_ideal,
-                              standard_monomials, syzygy_system,
-                              tangent_dimension, verify_basis)
+                              syzygy_system, tangent_dimension, verify_basis)
 from hilbdiag.treespace import enumerate_trees, tree_to_ideal
+
+
+def standard_monomials(ideal, u):
+    """The standard monomials of degree u as `syzygy_system` finds them."""
+    return Packing(ideal, max(u, default=0)).standard(u)[0]
+
+
+def _lcm(g, h):
+    exps = dict(g.exps)
+    for v, e in h.exps:
+        exps[v] = max(exps.get(v, 0), e)
+    return Monomial(exps)
 
 
 def _standard_monomials_reference(ideal, u):
@@ -33,7 +44,7 @@ def _syzygy_system_reference(ideal):
             index[(g, m)] = len(index)
     rows = []
     for g, h in combinations(gens, 2):
-        L = g.lcm(h)
+        L = _lcm(g, h)
         lg, lh = L.quotient(g), L.quotient(h)
         # coefficient of the monomial w in (L/g) phi(g) - (L/h) phi(h);
         # the lift m -> (L/g) m is injective, so each w sees at most one

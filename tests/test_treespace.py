@@ -1,4 +1,6 @@
-"""Tree enumeration, the ideal bijection, moves, decorations."""
+"""Tree enumeration, the ideal bijection, moves, and two oracles from
+trees of projective lines: the torus-fixed tree ideals and the
+cross-ratio family."""
 
 import hashlib
 import json
@@ -11,15 +13,11 @@ from hilbdiag.borel import build_z
 from hilbdiag.gridcore import (Monomial, MonomialIdeal,
                                series_equals_diagonal)
 from hilbdiag.tangent import chain_ideal, tangent_dimension
-from hilbdiag.treespace import (DecoratedTree, NotATreeIdeal, Tree,
-                                cross_ratio_family, decorated_tree_ideal,
-                                enumerate_trees, ideal_to_tree, is_smooth,
-                                MovesGraph, moves_graph,
-                                torus_fixed_decoration,
+from hilbdiag.treespace import (NotATreeIdeal, Tree, _adjacency,
+                                _bfs_parents, enumerate_trees, ideal_to_tree,
+                                is_smooth, MovesGraph, moves_graph,
                                 tree_tangent_dim, tree_to_ideal,
                                 vertex_tangent_count)
-
-IDENT = ((1, 0), (0, 1))
 
 
 def quad(ri, i, rj, j):
@@ -153,11 +151,17 @@ def test_smoothness():
             assert is_smooth(tree) == (tree_tangent_dim(tree) == 3 * (n - 1))
 
 
+def is_connected(g):
+    """Every tree of the moves graph is reached from the first one."""
+    adj = _adjacency(g.edges, g.nodes)
+    return len(_bfs_parents(adj, next(iter(g.nodes)))) == len(g.nodes)
+
+
 def test_moves_graph_n3():
     g = moves_graph(3)
     assert len(g.nodes) == 32
     assert g.edge_count("swap") == 24
-    assert g.is_connected()
+    assert is_connected(g)
 
 
 def test_moves_graph_n2_swaps_join_chains():
@@ -171,9 +175,9 @@ def test_moves_graph_n2_swaps_join_chains():
 
 def test_moves_graph_connected():
     for n in (1, 2, 3, 4):
-        assert moves_graph(n).is_connected()
+        assert is_connected(moves_graph(n))
     g = moves_graph(2)
-    assert not MovesGraph(2, g.nodes, {}).is_connected()
+    assert not is_connected(MovesGraph(2, g.nodes, {}))
 
 
 def test_swap_edges_change_exactly_one_generator():
@@ -211,72 +215,51 @@ def test_move_edges_flip_crossed_edge_symbols():
     assert checked
 
 
-def test_single_component_decoration_gives_minors():
-    D = DecoratedTree(3, [({1, 2, 3}, {1: IDENT, 2: IDENT, 3: IDENT})], [])
-    gens = decorated_tree_ideal(D)
-    R = groebner.grid_ring(2, 3)
-    order = groebner.lex_order(R)
-    assert groebner.buchberger(gens, order) \
-        == groebner.buchberger(groebner.minors_ideal(2, 3, R), order)
+def torus_fixed_ideal(tree):
+    """The ideal of the torus-fixed tree of lines, one line per edge.
+
+    The line of edge c meets every other edge i at the endpoint of i
+    that faces c, so its prime holds x_i when the tail of i faces c and
+    y_i otherwise; the ideal is the intersection of the n primes.
+    """
+    R = groebner.grid_ring(2, tree.n)
+    primes = []
+    for c in range(tree.n):
+        # rooted at an endpoint of c, the endpoint nearer the root faces c
+        parent = _bfs_parents(tree.adjacency(), tree.edges[c][0])
+        primes.append([R.grid_var(1 if parent[h] == t else 2, i + 1)
+                       for i, (t, h) in enumerate(tree.edges) if i != c])
+    return groebner.intersect_many(primes)
 
 
-def test_two_lines_meeting_at_origin():
-    D = DecoratedTree(2, [({1}, {1: IDENT}), ({2}, {2: IDENT})],
-                      [(0, 1, (0, 1), (0, 1))])
-    R = groebner.grid_ring(2, 2)
-    assert decorated_tree_ideal(D) == [R.grid_var(1, 1) * R.grid_var(1, 2)]
+def five_lines(t):
+    """Four lines meeting a fifth at 0, 1, infinity and t: the
+    intersection ideal depends on the cross ratio t."""
+    R = groebner.grid_ring(2, 5)
+    x = [None] + [R.grid_var(1, i) for i in range(1, 6)]
+    y = [None] + [R.grid_var(2, i) for i in range(1, 6)]
+    marks = [x[5], x[5] - y[5], y[5], x[5] - y[5] * Fraction(t)]
+    return groebner.intersect_many(
+        [[x[i] for i in range(1, 5)]]
+        + [[x[i] for i in range(1, 5) if i != j] + [marks[j - 1]]
+           for j in range(1, 5)])
 
 
 def test_torus_decorations_match_tree_ideals():
-    R = groebner.grid_ring(2, 3)
-    order = groebner.lex_order(R)
-    for tree in enumerate_trees(3):
-        ideal = tree_to_ideal(tree)
-        gens = decorated_tree_ideal(torus_fixed_decoration(tree))
-        expect = [groebner.RatPoly(R, {R.exponents(g): 1}) for g in ideal.gens]
-        assert groebner.buchberger(gens, order) \
-            == groebner.buchberger(expect, order)
-
-
-def test_first_step_on_a_path():
-    # components 0 - 1 - 2 - 3, attachments out of order and with mixed
-    # orientation; the point on component c's side toward w is (c+1, w+1)
-    def point(c, w):
-        return (c + 1, w + 1)
-
-    D = DecoratedTree(4, [({k}, {k: IDENT}) for k in (1, 2, 3, 4)],
-                      [(1, 2, point(1, 2), point(2, 1)),
-                       (0, 1, point(0, 1), point(1, 0)),
-                       (3, 2, point(3, 2), point(2, 3))])
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                step = src + 1 if dst > src else src - 1
-                assert D.first_step(src, dst) == point(src, step)
-
-
-def test_decoration_validation():
-    with pytest.raises(ValueError):
-        DecoratedTree(2, [({1}, {1: ((1, 0), (2, 0))}),
-                          ({2}, {2: IDENT})], [(0, 1, (0, 1), (0, 1))])
-    with pytest.raises(ValueError):
-        DecoratedTree(2, [({1}, {1: IDENT}), ({2}, {2: IDENT})], [])
-    with pytest.raises(ValueError):
-        DecoratedTree(2, [({1}, {1: IDENT}), ({2}, {2: IDENT})],
-                      [(0, 1, (0, 0), (0, 1))])
+    for n in (2, 3):
+        R = groebner.grid_ring(2, n)
+        order = groebner.lex_order(R)
+        for tree in enumerate_trees(n):
+            expect = [groebner.RatPoly(R, {R.exponents(g): 1})
+                      for g in tree_to_ideal(tree).gens]
+            assert groebner.buchberger(torus_fixed_ideal(tree), order) \
+                == groebner.buchberger(expect, order)
 
 
 def test_cross_ratio_family():
-    gens = cross_ratio_family(2)
+    gens = five_lines(2)
     for u in [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 2),
               (1, 1, 0, 0, 0), (1, 0, 0, 0, 1)]:
         assert groebner.graded_piece_dim(gens, u) == sum(u) + 1
-    gens = cross_ratio_family(Fraction(-1))
+    gens = five_lines(Fraction(-1))
     assert groebner.graded_piece_dim(gens, (1, 1, 1, 0, 0)) == 4
-
-
-def test_cross_ratio_rejects_degenerate_parameters():
-    with pytest.raises(ValueError):
-        cross_ratio_family(1)
-    with pytest.raises(ValueError):
-        cross_ratio_family(0)
