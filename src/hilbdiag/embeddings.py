@@ -159,6 +159,8 @@ def lafforgue_coordinates(matrices) -> dict:
         raise ValueError("need at least one matrix")
     d = len(mats[0])
     n = len(mats)
+    if d < 1:
+        raise ValueError("matrices must be at least 1 x 1")
     for k, m in enumerate(mats):
         if len(m) != d or any(len(r) != d for r in m):
             raise ValueError("matrix %d is not square of size %d" % (k + 1, d))

@@ -177,6 +177,9 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["tangent", "--basis", "foo", "--d", "2", "--n", "2"],
     ["tangent", "--ideal", "chain22.json", "--d", "7", "--n", "-4"],
     ["verify-all", "--only"],
+    ["tangent", "--ideal", "zero_exponent.json"],
+    ["lafforgue", "--matrices", "zero_by_zero.json"],
+    ["lafforgue", "--matrices", "two_zero_by_zero.json"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -201,6 +204,9 @@ def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
         '[[["2/0*z",0],[0,1]],[[1,0],[0,1]]]')
     (tmp_path / "zero_denominator.json").write_text(
         '[[["1/0",0],[0,1]],[[1,0],[0,1]]]')
+    (tmp_path / "zero_exponent.json").write_text('{"d":2,"n":2,"gens":[[[1,1,0]]]}')
+    (tmp_path / "zero_by_zero.json").write_text("[[]]")
+    (tmp_path / "two_zero_by_zero.json").write_text("[[],[]]")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

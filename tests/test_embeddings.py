@@ -229,6 +229,14 @@ def test_lafforgue_rejects_singular():
         lafforgue_coordinates([[[1, 1], [1, 1]], [[1, 0], [0, 1]]])
 
 
+def test_lafforgue_matrix_sizes():
+    # 1 x 1 matrices make a valid tuple; 0 x 0 ones have no coordinates
+    assert lafforgue_coordinates([[[2]], [[3]]]) == {(1, 0): [2], (0, 1): [3]}
+    for mats in ([[]], [[], []]):
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            lafforgue_coordinates(mats)
+
+
 def test_x23_matrix_shape():
     coeffs = {(1, 2): (1, 0, 0, 0), (1, 3): (0, 1, 0, 0), (2, 3): (0, 0, 1, 0)}
     m = x23_matrix(coeffs)

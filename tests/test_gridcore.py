@@ -15,8 +15,10 @@ from hilbdiag.gridcore import (KPolynomial, Monomial, MonomialIdeal,
                                multidegree_of_ideal, pack,
                                series_equals_diagonal, stanley_reisner,
                                target_hf, unpack)
+from hilbdiag import h33
 from hilbdiag.borel import build_z
 from hilbdiag.tangent import chain_ideal
+from hilbdiag.treespace import enumerate_trees, tree_to_ideal
 
 
 def vertex_mask(vars_, n):
@@ -72,6 +74,16 @@ def test_ideal_json_roundtrip():
 def test_ideal_json_rejects_repeated_variable():
     with pytest.raises(ValueError, match="repeats a variable"):
         MonomialIdeal.from_json({"d": 2, "n": 2, "gens": [[[1, 1, 1], [1, 1, 2]]]})
+
+
+def test_ideal_json_rejects_exponent_below_one():
+    # an exponent of 0 would silently turn the generator into 1
+    for e in (0, -2):
+        with pytest.raises(ValueError, match="exponent below 1"):
+            MonomialIdeal.from_json({"d": 2, "n": 2, "gens": [[[1, 1, e]]]})
+    with pytest.raises(ValueError, match=r"\[\[2, 1, 1\], \[1, 2, 0\]\]"):
+        MonomialIdeal.from_json(
+            {"d": 2, "n": 2, "gens": [[[1, 1, 1]], [[2, 1, 1], [1, 2, 0]]]})
 
 
 def test_pack_layout():
@@ -145,13 +157,62 @@ def test_multidegree_of_ideal_examples():
 
 
 def test_k_polynomial_examples():
-    assert k_polynomial(MonomialIdeal(1, 1, [])) == KPolynomial(1, {(0,): 1})
-    # the unit ideal has the void complex, with no face at all: S/S = 0
-    assert k_polynomial(MonomialIdeal(2, 2, [Monomial({})])) == KPolynomial(2)
+    for d, n in [(1, 1), (2, 3), (3, 2)]:
+        # S/0 = S has numerator 1
+        assert k_polynomial(MonomialIdeal(d, n, [])) == KPolynomial(
+            n, {(0,) * n: 1})
+        # the unit ideal has the void complex, with no face at all: S/S = 0
+        assert k_polynomial(MonomialIdeal(d, n, [Monomial({})])) == KPolynomial(n)
     kp = k_polynomial(MonomialIdeal(2, 2, [Monomial({(1, 1): 1, (1, 2): 1})]))
     assert kp == KPolynomial(2, {(0, 0): 1, (1, 1): -1})
     # two ideals of the same scheme share the K-polynomial
     assert k_polynomial(build_z(2, 3)) == k_polynomial(chain_ideal(2, 3))
+
+
+def reference_k_polynomial(ideal):
+    """K-polynomial by expanding prod_j t_j^c_j (1-t_j)^(d-c_j) term by
+    term for every column profile c of the faces."""
+    d, n = ideal.d, ideal.n
+    faces = set()
+    for facet in stanley_reisner(ideal):
+        face = facet
+        while face:
+            faces.add(face)
+            face = (face - 1) & facet
+        faces.add(0)
+    cols = [vertex_mask([(i, j) for i in range(1, d + 1)], n)
+            for j in range(1, n + 1)]
+    profiles = {}
+    for face in faces:
+        c = tuple((face & m).bit_count() for m in cols)
+        profiles[c] = profiles.get(c, 0) + 1
+    terms = {}
+    for c, cnt in profiles.items():
+        for w in product(*[range(cj, d + 1) for cj in c]):
+            coeff = cnt
+            for cj, wj in zip(c, w):
+                coeff *= (-1) ** (wj - cj) * comb(d - cj, wj - cj)
+            terms[w] = terms.get(w, 0) + coeff
+    return KPolynomial(n, terms)
+
+
+ORACLE_IDEALS = {
+    "census": lambda: [h33.complex_to_ideal(cx)
+                       for cx in h33.enumerate_h33()[::7]],
+    "build_z": lambda: [build_z(d, n) for d in range(1, 6)
+                        for n in range(1, 6)],
+    "trees": lambda: [tree_to_ideal(t) for n in range(1, 5)
+                      for t in enumerate_trees(n)],
+    "zero_and_unit": lambda: [MonomialIdeal(d, n, gens) for d, n in
+                              [(1, 1), (2, 3), (3, 2)]
+                              for gens in ([], [Monomial({})])],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_IDEALS))
+def test_k_polynomial_matches_reference(family):
+    for ideal in ORACLE_IDEALS[family]():
+        assert k_polynomial(ideal) == reference_k_polynomial(ideal), ideal
 
 
 def test_hf_at_examples():
@@ -233,6 +294,7 @@ def series_coefficient(kp, d, u):
 @pytest.mark.parametrize("ideal", [
     build_z(2, 2), build_z(3, 3), build_z(2, 4),
     chain_ideal(2, 3), chain_ideal(3, 3),
+    build_z(4, 2), build_z(4, 3),
 ])
 def test_series_expansion_matches_hf(ideal):
     kp = k_polynomial(ideal)
