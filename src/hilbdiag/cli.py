@@ -143,7 +143,8 @@ def cmd_h33(args):
             return 1
     if args.reps:
         ok = True
-        for chk in h33.component_rep_checks(bound=args.bound):
+        bound = 4 if args.bound is None else args.bound
+        for chk in h33.component_rep_checks(bound=bound):
             print("%s: %s (%d degrees)" % (chk.name,
                                            "ok" if chk.ok else "FAIL",
                                            chk.degrees_checked))
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     p.add_argument("--classes", action="store_true")
     p.add_argument("--table1", action="store_true")
     p.add_argument("--reps", action="store_true")
-    p.add_argument("--bound", type=_count, default=4)
+    p.add_argument("--bound", type=_count, help="degree bound of --reps (default 4)")
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_h33)
 
@@ -388,6 +389,8 @@ def main(argv=None) -> int:
             tangent_parser.error("--d and --n must be at least 1")
     if args.fn is cmd_h33 and args.csv and not args.table1:
         h33_parser.error("--csv needs --table1")
+    if args.fn is cmd_h33 and args.bound is not None and not args.reps:
+        h33_parser.error("--bound needs --reps")
     if args.fn is cmd_gin and min(args.d, args.n) < 2:
         # one row or one column has no 2x2 minors
         gin_parser.error("--d and --n must be at least 2")

@@ -12,11 +12,19 @@ Column j of the grid is the j-th triangle, its rows the triangle's
 vertices, so a product cell is a grid vertex mask (`gridcore.pack` at
 width 1, row a of column j is bit 3a + j): it takes t_j + 1 rows of
 column j.  The faces of a cell in the product are its submasks that meet
-every column, of dimension (bit count) - 3; the 0-cells and 1-cells of a
-closure are kept as sets of such submasks, one bit per grid mask.  The
-relabeling group permutes rows within columns and the columns
-themselves, so it acts on the cells by permuting grid bits, and the
-Stanley-Reisner ideal of a complex is the one of its cell masks.
+every column, of dimension (bit count) - 3.  The 27 0-cells and the 81
+1-cells of the product are numbered densely, so the 0-cells and 1-cells
+of a closure are two ints below 2^27 and 2^81, one bit per face, and the
+scan's bookkeeping is an OR and a bit count.  The Stanley-Reisner ideal
+of a complex is the one of its cell masks.
+
+The relabeling group permutes rows within columns and the columns
+themselves, so it acts on the cells by permuting grid bits.  An element
+moves column j's part of a cell, `cell >> j & 0o111`, by one table
+lookup: there are 18 tables, one per row permutation and target column.
+A cell's image is the OR of three lookups, and since the types
+permute with the columns, the images fill the six slots in an order that
+depends on the column permutation alone.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from operator import itemgetter
 
 from . import groebner
 from .gridcore import (MonomialIdeal, _column_masks, complex_to_ideal as sr_ideal,
@@ -47,15 +56,36 @@ def cells_of_type(t):
     return [a | b | c for a, b, c in product(*factors)]
 
 
+# dense indices of the 27 0-cells and the 81 1-cells of the product, in
+# cells_of_type order, so a closure is an int below 2^81
+_FACE_INDEX = [
+    {cell: i for i, cell in enumerate(c for t in types for c in cells_of_type(t))}
+    for types in (((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))]
+
+
 def _faces(cell: int, dim: int) -> int:
-    """The set of dim-dimensional faces of a cell, one bit per grid mask."""
+    """The set of dim-dimensional faces of a cell, one bit per dense index."""
+    index = _FACE_INDEX[dim]
     out = 0
     sub = cell
     while sub:
-        if sub.bit_count() == dim + 3 and all(sub & c for c in _COLUMNS):
-            out |= 1 << sub
+        if sub in index:
+            out |= 1 << index[sub]
         sub = (sub - 1) & cell
     return out
+
+
+def _bit_table(targets) -> list:
+    """The image of every mask below 2^len(targets) when bit b moves to bit
+    targets[b]; a bit whose target is None is dropped."""
+    table = [0]
+    for t in targets:
+        table += table if t is None else [m | 1 << t for m in table]
+    return table
+
+
+# a grid mask read column by column: bit 3a + j goes to bit 3 (2 - j) + a
+_BY_COLUMN = _bit_table([3 * (2 - b % 3) + b // 3 for b in range(9)])
 
 
 class CellComplex233:
@@ -68,14 +98,24 @@ class CellComplex233:
         if len(cells) != 6:
             raise ValueError("expected six 2-cells")
         for cell, t in zip(cells, TYPES):
+            if not (isinstance(cell, int) and 0 <= cell < 1 << 9):
+                raise ValueError("cell %r is not a 3x3 grid mask" % (cell,))
             if _type(cell) != t:
                 raise ValueError("cell %r does not have type %r" % (cell, t))
         self.cells = cells
 
+    @classmethod
+    def _unchecked(cls, cells: tuple):
+        """A complex whose cells are known to have the slot types: made
+        from cells of those types, or the image of such a complex."""
+        cx = object.__new__(cls)
+        cx.cells = cells
+        return cx
+
     def key(self):
-        """Sort key: each cell's part in each column; for cells of one type
+        """Sort key: each cell read column by column; for cells of one type
         this orders their row sets lexicographically, column by column."""
-        return tuple(cell & c for cell in self.cells for c in _COLUMNS)
+        return tuple(map(_BY_COLUMN.__getitem__, self.cells))
 
     def is_planar(self) -> bool:
         """No 1-cell lies in more than two of the six 2-cells."""
@@ -107,7 +147,8 @@ def enumerate_h33() -> tuple:
     Closure counts only grow as cells are added, so partial choices whose
     0-cell or 1-cell count already exceeds the targets 10 and 15, or can
     no longer reach them, are cut; a full choice that is left meets both
-    exactly.
+    exactly.  Slot k draws only from `cells_of_type(TYPES[k])`, so every
+    complex found is valid by construction and is built unchecked.
     """
     slot_data = [[(cell, _faces(cell, 0), _faces(cell, 1)) for cell in cells_of_type(t)]
                  for t in TYPES]
@@ -118,8 +159,11 @@ def enumerate_h33() -> tuple:
     found = []
 
     def walk(level, vmask, emask, cells):
-        if level == 6:
-            found.append(CellComplex233(cells))
+        if level == 5:
+            # the last slot closes flat: both counts must be met exactly
+            for cell, vm, em in slot_data[5]:
+                if (vmask | vm).bit_count() == 10 and (emask | em).bit_count() == 15:
+                    found.append(CellComplex233._unchecked(cells + (cell,)))
             return
         rest = suffix[level + 1]
         for cell, vm, em in slot_data[level]:
@@ -140,33 +184,38 @@ def complex_to_ideal(cx: CellComplex233) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 # the order-1296 relabeling group
 
+_PERMS = tuple(permutations(range(3)))
+
+
 @lru_cache(maxsize=1)
 def symmetry_group():
     """All (column permutation, per-column row permutations) elements."""
-    perms = list(permutations(range(3)))
-    return [
-        (pi, rhos)
-        for pi in perms
-        for rhos in product(perms, repeat=3)
-    ]
+    return [(pi, rhos) for pi in _PERMS for rhos in product(_PERMS, repeat=3)]
 
 
+# _MOVED[rho][c][part]: a column's part of a cell, `cell >> j & 0o111` with
+# row a at bit 3a, once rho permutes its rows and it lands in column c
+_MOVED = {rho: [_bit_table([3 * rho[b // 3] + c if b % 3 == 0 else None
+                            for b in range(7)]) for c in range(3)]
+          for rho in _PERMS}
 _SLOT = {t: k for k, t in enumerate(TYPES)}
+# _PLACE[pi] puts the images of the six cells in slot order: moving the
+# columns by pi moves the entries of each type with them
+_PLACE = {pi: itemgetter(*[_SLOT[tuple(t[c] for c in pi)] for t in TYPES])
+          for pi in _PERMS}
 
 
 def act(cx: CellComplex233, g) -> CellComplex233:
     """Image under g = (pi, rhos): row a of column j goes to row rhos[j][a]
-    of column pi[j], so bit 3a + j moves to bit 3 rhos[j][a] + pi[j]."""
-    pi, rhos = g
-    target = [1 << 3 * rhos[j][a] + pi[j] for a in range(3) for j in range(3)]
-    placed = [None] * 6
-    for cell in cx.cells:
-        img = 0
-        for bit, moved in enumerate(target):
-            if cell >> bit & 1:
-                img |= moved
-        placed[_SLOT[_type(img)]] = img
-    return CellComplex233(placed)
+    of column pi[j], so bit 3a + j moves to bit 3 rhos[j][a] + pi[j].
+
+    Each column's part of a cell moves by one table lookup.  The images
+    keep each column's row count, so they fill the slots by type."""
+    pi, (r0, r1, r2) = g
+    m0, m1, m2 = _MOVED[r0][pi[0]], _MOVED[r1][pi[1]], _MOVED[r2][pi[2]]
+    return CellComplex233._unchecked(_PLACE[pi](
+        [m0[cell & 0o111] | m1[cell >> 1 & 0o111] | m2[cell >> 2 & 0o111]
+         for cell in cx.cells]))
 
 
 @dataclass

@@ -180,6 +180,7 @@ def test_lafforgue_reads_decimals_exactly(tmp_path, capsys):
     ["tangent", "--ideal", "zero_exponent.json"],
     ["lafforgue", "--matrices", "zero_by_zero.json"],
     ["lafforgue", "--matrices", "two_zero_by_zero.json"],
+    ["h33", "--bound", "7"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

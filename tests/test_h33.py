@@ -7,9 +7,11 @@ from random import Random
 import pytest
 
 from hilbdiag.borel import build_z
-from hilbdiag.gridcore import Monomial, MonomialIdeal, series_equals_diagonal
+from hilbdiag.gridcore import (Monomial, MonomialIdeal, series_equals_diagonal,
+                               stanley_reisner)
 from hilbdiag.h33 import (CANDIDATE_SPACE, EXPECTED_CLASS_DATA, CellComplex233,
-                          TYPES, _faces, act, cells_of_type, complex_to_ideal,
+                          TYPES, _COLUMNS, _faces, _type, act, cells_of_type,
+                          complex_to_ideal,
                           cubic_family_ideal, enumerate_h33,
                           hilbert_function_check, rep_ideal_extra13,
                           rep_ideal_extra14, symmetry_classes, symmetry_group,
@@ -27,8 +29,62 @@ def test_census_count():
     assert len(enumerate_h33()) == 13824
 
 
+def _grid_mask_faces(cell, dim):
+    """The dim-dimensional faces of a cell, one bit per grid mask."""
+    out = 0
+    sub = cell
+    while sub:
+        if sub.bit_count() == dim + 3 and all(sub & c for c in _COLUMNS):
+            out |= 1 << sub
+        sub = (sub - 1) & cell
+    return out
+
+
+def _enumerate_reference():
+    """The census by a recursive scan over closures kept one bit per grid
+    mask, with the same pruning and every complex checked."""
+    slot_data = [[(cell, _grid_mask_faces(cell, 0), _grid_mask_faces(cell, 1))
+                  for cell in cells_of_type(t)] for t in TYPES]
+    most = [3, 3, 3, 4, 4, 4]
+    suffix = [sum(most[k:]) for k in range(7)]
+    found = []
+
+    def walk(level, vmask, emask, cells):
+        if level == 6:
+            found.append(CellComplex233(cells))
+            return
+        rest = suffix[level + 1]
+        for cell, vm, em in slot_data[level]:
+            nv = vmask | vm
+            ne = emask | em
+            if 10 - rest <= nv.bit_count() <= 10 and 15 - rest <= ne.bit_count() <= 15:
+                walk(level + 1, nv, ne, cells + (cell,))
+
+    walk(0, 0, 0, ())
+    return tuple(found)
+
+
+def test_census_matches_reference_scan_in_order():
+    assert _enumerate_reference() == enumerate_h33()
+
+
+def test_dense_faces_renumber_the_grid_mask_faces():
+    for dim, types in ((0, [(0, 0, 0)]), (1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])):
+        faces = [f for t in types for f in cells_of_type(t)]
+        bit = {f: _faces(f, dim) for f in faces}
+        # one bit each, all distinct and dense: a renumbering of the faces
+        assert all(b.bit_count() == 1 for b in bit.values())
+        assert len(set(bit.values())) == len(faces) == (27, 81)[dim]
+        assert max(bit.values()) < 1 << len(faces)
+        for t in TYPES:
+            for cell in cells_of_type(t):
+                grid = _grid_mask_faces(cell, dim)
+                assert _faces(cell, dim) == reduce(
+                    or_, (bit[f] for f in faces if grid >> f & 1), 0)
+
+
 def _closure(cx, dim):
-    """The dim-dimensional cells of the closure, one bit per grid mask."""
+    """The dim-dimensional cells of the closure, one bit per face."""
     return reduce(or_, (_faces(cell, dim) for cell in cx.cells))
 
 
@@ -50,7 +106,6 @@ def test_squares_share_a_common_point():
 
 
 def test_complex_to_ideal_facets():
-    from hilbdiag.gridcore import stanley_reisner
     for cx in enumerate_h33()[::1000]:
         ideal = complex_to_ideal(cx)
         assert ideal.is_squarefree()
@@ -82,6 +137,56 @@ def test_sampled_census_ideals_have_right_series():
 
 def test_symmetry_group_order():
     assert len(symmetry_group()) == 1296
+
+
+def test_key_orders_cells_column_by_column():
+    rng = Random(25)
+    sample = [CellComplex233([rng.choice(cells_of_type(t)) for t in TYPES])
+              for _ in range(1000)] + list(enumerate_h33()[::7])
+    rng.shuffle(sample)
+
+    def reference(cx):
+        return tuple(cell & c for cell in cx.cells for c in _COLUMNS)
+    assert sorted(sample, key=CellComplex233.key) == sorted(sample, key=reference)
+    assert len({cx.key() for cx in sample}) == len({reference(cx) for cx in sample})
+    keys = [cx.key() for cx in enumerate_h33()]
+    assert keys == sorted(keys)
+
+
+def _act_reference(cx, g):
+    """Image under g, moving every cell bit by bit and placing each image
+    in the slot of its type."""
+    pi, rhos = g
+    target = [1 << 3 * rhos[j][a] + pi[j] for a in range(3) for j in range(3)]
+    placed = [None] * 6
+    for cell in cx.cells:
+        img = 0
+        for bit, moved in enumerate(target):
+            if cell >> bit & 1:
+                img |= moved
+        placed[TYPES.index(_type(img))] = img
+    return CellComplex233(placed)
+
+
+def test_action_matches_reference():
+    census = enumerate_h33()
+    group = symmetry_group()
+    special = [CellComplex233(sorted(stanley_reisner(ideal),
+                                     key=lambda cell: TYPES.index(_type(cell))))
+               for ideal in (build_z(3, 3), chain_ideal(3, 3))]
+    assert all(cx in census for cx in special)
+    rng = Random(25)
+    for cx in special + [census[0]]:
+        for g in group:
+            assert act(cx, g) == _act_reference(cx, g)
+    for cx in rng.sample(census, 200):
+        for g in rng.sample(group, 20):
+            assert act(cx, g) == _act_reference(cx, g)
+    # complexes outside the census too: any cells of the slot types
+    for _ in range(200):
+        cx = CellComplex233([rng.choice(cells_of_type(t)) for t in TYPES])
+        g = rng.choice(group)
+        assert act(cx, g) == _act_reference(cx, g)
 
 
 def test_group_action_is_well_defined():
@@ -126,6 +231,23 @@ def test_symmetry_classes():
         assert c.orbit_size * c.stabilizer_order == 1296
 
 
+def test_symmetry_class_sizes_in_key_order():
+    classes = symmetry_classes()
+    keys = [c.representative.key() for c in classes]
+    assert keys == sorted(keys)
+    assert [(c.orbit_size, c.stabilizer_order) for c in classes] == [
+        (216, 6), (648, 2), (648, 2), (648, 2), (216, 6), (1296, 1),
+        (1296, 1), (1296, 1), (1296, 1), (1296, 1), (648, 2), (1296, 1),
+        (1296, 1), (648, 2), (648, 2), (432, 3)]
+
+
+def test_symmetry_classes_reject_an_unstable_census():
+    census = enumerate_h33()
+    with pytest.raises(AssertionError,
+                       match="^census not stable under the group action$"):
+        symmetry_classes(census[:100] + census[101:])
+
+
 def test_table_report_matches_published_census():
     report = table1_report()
     assert report.matches_published
@@ -158,6 +280,10 @@ def test_cell_complex_validation():
         CellComplex233(cells[:5])
     with pytest.raises(ValueError):
         CellComplex233(cells[::-1])  # wrong types per slot
+    # the same low nine bits as a valid cell, but outside the grid
+    for bad in (cells[0] | 1 << 9, cells[0] - (1 << 9)):
+        with pytest.raises(ValueError, match="not a 3x3 grid mask"):
+            CellComplex233([bad] + cells[1:])
 
 
 def test_representative_ideals_quick():
