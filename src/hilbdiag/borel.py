@@ -9,16 +9,22 @@ Faces and facets are `gridcore` vertex masks (`pack` at width 1: x_ij is
 bit (i-1)n + (j-1)).  A face S of F is new, in no earlier facet G,
 exactly when it meets F & ~G for every G, so the minimal new faces of F
 are the minimal transversals of those differences.
+
+Every monomial point of the scheme is radical: the Stanley-Reisner ideal
+of a complex with one facet of the shape of F_u per type u, whose face
+counts `monomial_points` reads off the diagonal K-polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .gridcore import (Monomial, MonomialIdeal, complex_to_ideal,
-                       minimal_transversals, unpack)
+from .gridcore import (Monomial, MonomialIdeal, _column_masks,
+                       complex_to_ideal, diagonal_k_polynomial,
+                       face_profile_counts, minimal_transversals, unpack)
 
 
 def u_set(d: int, n: int) -> list:
@@ -34,6 +40,60 @@ def u_set(d: int, n: int) -> list:
 def facet_of(d: int, n: int, u) -> int:
     """F_u = {x_ij : i > u_j}, the facet complementary to the prime of u."""
     return sum(1 << i * n + j for j, uj in enumerate(u) for i in range(uj, d))
+
+
+@lru_cache(maxsize=None)
+def _cells(d: int, n: int) -> tuple:
+    """The vertex-cells and the edge-cells of the grid, in mask order: the
+    faces meeting every column, with n and n + 1 vertices."""
+    cols = _column_masks(d, n)
+    faces = [m for m in range(1 << d * n) if all(m & c for c in cols)]
+    return tuple([m for m in faces if m.bit_count() == n + k] for k in (0, 1))
+
+
+def product_cells(facet: int, d: int, n: int) -> tuple:
+    """The vertex-cells and the edge-cells of a facet, as bitsets: bit i
+    stands for cell i of `_cells`."""
+    return tuple(sum(1 << i for i, m in enumerate(cells) if not m & ~facet)
+                 for cells in _cells(d, n))
+
+
+def monomial_points(d: int, n: int) -> tuple:
+    """Complexes of the monomial points, as tuples of facets in `u_set`
+    order, the facet of type u with d - u_j rows in column j.
+
+    A depth-first search picks one facet per type and keeps the closure's
+    vertex-cells and edge-cells as bitsets.  Counts only grow, so a choice
+    is cut once a count exceeds its target, read off the diagonal
+    K-polynomial: no point is lost.  Only these two counts are matched,
+    so callers certify each complex by `series_equals_diagonal`.
+    """
+    counts = face_profile_counts(diagonal_k_polynomial(d, n), d)
+    want_v, want_e = (sum(f for c, f in counts.items() if min(c) and sum(c) == n + k)
+                      for k in (0, 1))
+    slots = []
+    for u in u_set(d, n):
+        columns = [map(sum, combinations([1 << i * n + j for i in range(d)], d - uj))
+                   for j, uj in enumerate(u)]
+        slots.append([(f,) + product_cells(f, d, n) for f in map(sum, product(*columns))])
+    last = len(slots) - 1
+    found = []
+
+    def walk(k, verts, edges, chosen):
+        if k == last:  # a flat loop: both counts must be met exactly
+            for facet, v, e in slots[k]:
+                if (verts | v).bit_count() == want_v and (edges | e).bit_count() == want_e:
+                    found.append(chosen + (facet,))
+            return
+        for facet, v, e in slots[k]:
+            nv = verts | v
+            ne = edges | e
+            if nv.bit_count() <= want_v and ne.bit_count() <= want_e:
+                walk(k + 1, nv, ne, chosen + (facet,))
+
+    walk(0, 0, 0, ())
+    del walk  # its closure holds it: free `found` on return, not at the next gc
+    return tuple(found)
 
 
 def build_z(d: int, n: int) -> MonomialIdeal:

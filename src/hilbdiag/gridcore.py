@@ -220,12 +220,6 @@ class KPolynomial:
                 if c:
                     self.terms[tuple(u)] = c
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            out[u] = out.get(u, 0) + c
-        return KPolynomial(self.n, out)
-
     def __eq__(self, other):
         return isinstance(other, KPolynomial) and self.n == other.n \
             and self.terms == other.terms
@@ -459,16 +453,13 @@ def k_polynomial(ideal: MonomialIdeal) -> KPolynomial:
     (d+1)^n integers, indexed by c in base d+1 with column 1 the most
     significant digit.  The product of the column factors is separable,
     t^c (1-t)^(d-c) = sum_w (-1)^(w-c) C(d-c, w-c) t^w, so the counts are
-    expanded one column at a time: each of n passes applies that
-    triangular (d+1) x (d+1) table to the strided slices f[c::d+1] of the
-    last digit and writes the result digit w first, so after n passes the
-    digits are back in order and entry u is the coefficient of t^u.
-    Beside the face set, the memory is bounded by that list: (d+1)^n
-    integers, and twice that during a pass.  There is deliberately no
-    cache of per-profile expansions: one kept across calls grew the peak
-    RSS of the perfbench checks workload from 22.3 to 29.2 MB, because
-    the nine `build_z(d, n)`, 2 <= d, n <= 4, of the hilbert-data check
-    have 505 distinct profiles between them.
+    expanded one column at a time by `_column_transform`.  Beside the
+    face set, the memory is bounded by that list: (d+1)^n integers, and
+    twice that during a pass.  There is deliberately no cache of
+    per-profile expansions: one kept across calls grew the peak RSS of
+    the perfbench checks workload from 22.3 to 29.2 MB, because the nine
+    `build_z(d, n)`, 2 <= d, n <= 4, of the hilbert-data check have 505
+    distinct profiles between them.
     """
     if not ideal.is_squarefree():
         raise ValueError("K-polynomial computed only for squarefree ideals")
@@ -487,9 +478,17 @@ def k_polynomial(ideal: MonomialIdeal) -> KPolynomial:
         for m in cols:
             k = k * (d + 1) + (face & m).bit_count()
         f[k] += 1
-    # table[w][c] is the coefficient of t^w in t^c (1-t)^(d-c), for c <= w
-    table = [[(-1) ** (w - c) * comb(d - c, w - c) for c in range(w + 1)]
-             for w in range(d + 1)]
+    return KPolynomial(n, _column_transform(
+        f, d, n, lambda w, c: (-1) ** (w - c) * comb(d - c, w - c)))
+
+
+def _column_transform(f: list, d: int, n: int, entry):
+    """Apply the lower-triangular table entry(r, c), 0 <= c <= r <= d, to
+    every base-(d+1) digit of the dense list f, column 1 the most
+    significant, and pair each result with its digits: each of n passes
+    applies the table to the strided slices f[c::d+1] of the last digit
+    and writes the result digit first, so the digits end back in order."""
+    table = [[entry(r, c) for c in range(r + 1)] for r in range(d + 1)]
     for _ in range(n):
         slices = [f[c::d + 1] for c in range(d + 1)]
         f = []
@@ -498,7 +497,15 @@ def k_polynomial(ideal: MonomialIdeal) -> KPolynomial:
             for t, s in zip(row[1:], slices[1:]):
                 acc = [a + t * x for a, x in zip(acc, s)]
             f += acc
-    return KPolynomial(n, zip(product(range(d + 1), repeat=n), f))
+    return zip(product(range(d + 1), repeat=n), f)
+
+
+def face_profile_counts(kpoly: KPolynomial, d: int) -> dict:
+    """Inverse of `k_polynomial`'s transform: the face count of every
+    column profile c.  With s = t/(1-t), t^w (1-t)^(-d) is s^w (1+s)^(d-w),
+    so f_c = sum_{w <= c} K_w prod_j C(d-w_j, c_j-w_j)."""
+    f = [kpoly.terms.get(w, 0) for w in product(range(d + 1), repeat=kpoly.n)]
+    return dict(_column_transform(f, d, kpoly.n, lambda c, w: comb(d - w, c - w)))
 
 
 @lru_cache(maxsize=None)
@@ -506,20 +513,12 @@ def diagonal_k_polynomial(d: int, n: int) -> KPolynomial:
     """K-polynomial shared by every ideal in the scheme.
 
     Recovered from the target Hilbert function by clearing the
-    denominator: N(t) = HF(t) * prod_j (1-t_j)^d, a finite
-    inclusion-exclusion since N is supported in {0..d}^n.
+    denominator: N(t) = HF(t) * prod_j (1-t_j)^d, column by column; N is
+    supported in {0..d}^n, so HF on that box determines it.
     """
-    terms = {}
-    for u in product(range(d + 1), repeat=n):
-        c = 0
-        for v in product(*[range(uj + 1) for uj in u]):
-            coeff = target_hf(d, v)
-            for uj, vj in zip(u, v):
-                coeff *= (-1) ** (uj - vj) * comb(d, uj - vj)
-            c += coeff
-        if c:
-            terms[u] = c
-    return KPolynomial(n, terms)
+    hf = [target_hf(d, v) for v in product(range(d + 1), repeat=n)]
+    return KPolynomial(n, _column_transform(
+        hf, d, n, lambda u, v: (-1) ** (u - v) * comb(d, u - v)))
 
 
 def series_equals_diagonal(ideal: MonomialIdeal) -> bool:

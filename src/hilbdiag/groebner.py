@@ -757,7 +757,7 @@ def gin_sample(d, n, trials, seed, borel_trials=None) -> GinReport:
 # ---------------------------------------------------------------------------
 # graded pieces
 
-def graded_piece_dim(gens, u, ring=None) -> int:
+def graded_piece_dim(gens, u) -> int:
     """Dimension of the quotient's graded piece at multidegree u.
 
     Builds the coefficient matrix of all multiplier-times-generator
@@ -765,10 +765,7 @@ def graded_piece_dim(gens, u, ring=None) -> int:
     exact rank from the number of monomials.
     """
     if not gens:
-        if ring is None:
-            raise ValueError("zero ideal needs an explicit ring")
-        d, n = ring.gridshape
-        return len(monomials_of_degree(d, n, tuple(u)))
+        raise ValueError("graded_piece_dim needs at least one generator")
     ring = gens[0].ring
     d, n = ring.gridshape
     u = tuple(u)

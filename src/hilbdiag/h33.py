@@ -3,19 +3,16 @@
 A monomial ideal with the right Hilbert function on the 3 x 3 grid
 corresponds to a two-dimensional subcomplex of the boundary of a product
 of three triangles: one 2-cell per type (t1, t2, t3), t_i >= 0 summing
-to 2, whose closure has exactly ten 0-cells and fifteen 1-cells.  The
-scan below walks all 9^3 * 27^3 type-respecting choices with exact
-monotone pruning on the closure counts and finds 13824 complexes in 16
-orbits of the order-1296 relabeling group.
+to 2, whose face counts are those of the diagonal K-polynomial.  These
+are `borel.monomial_points(3, 3)`, the cell of type t being the facet of
+type u = (2, 2, 2) - t: 13824 complexes in 16 orbits of the order-1296
+relabeling group.
 
 Column j of the grid is the j-th triangle, its rows the triangle's
 vertices, so a product cell is a grid vertex mask (`gridcore.pack` at
 width 1, row a of column j is bit 3a + j): it takes t_j + 1 rows of
 column j.  The faces of a cell in the product are its submasks that meet
-every column, of dimension (bit count) - 3.  The 27 0-cells and the 81
-1-cells of the product are numbered densely, so the 0-cells and 1-cells
-of a closure are two ints below 2^27 and 2^81, one bit per face, and the
-scan's bookkeeping is an OR and a bit count.  The Stanley-Reisner ideal
+every column, of dimension (bit count) - 3.  The Stanley-Reisner ideal
 of a complex is the one of its cell masks.
 
 The relabeling group permutes rows within columns and the columns
@@ -36,6 +33,7 @@ from itertools import permutations, product
 from operator import itemgetter
 
 from . import groebner
+from .borel import monomial_points, product_cells, u_set
 from .gridcore import (MonomialIdeal, _column_masks, complex_to_ideal as sr_ideal,
                        target_hf)
 
@@ -46,33 +44,6 @@ _COLUMNS = _column_masks(3, 3)
 def _type(cell: int) -> tuple:
     """The cell's dimension in each factor: its column profile minus one."""
     return tuple((cell & c).bit_count() - 1 for c in _COLUMNS)
-
-
-def cells_of_type(t):
-    """The grid masks of all product cells of type t."""
-    # a column's row subsets of one size, in increasing mask order
-    factors = [[m for m in range(1 << 9) if m & ~c == 0 and m.bit_count() == tj + 1]
-               for c, tj in zip(_COLUMNS, t)]
-    return [a | b | c for a, b, c in product(*factors)]
-
-
-# dense indices of the 27 0-cells and the 81 1-cells of the product, in
-# cells_of_type order, so a closure is an int below 2^81
-_FACE_INDEX = [
-    {cell: i for i, cell in enumerate(c for t in types for c in cells_of_type(t))}
-    for types in (((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))]
-
-
-def _faces(cell: int, dim: int) -> int:
-    """The set of dim-dimensional faces of a cell, one bit per dense index."""
-    index = _FACE_INDEX[dim]
-    out = 0
-    sub = cell
-    while sub:
-        if sub in index:
-            out |= 1 << index[sub]
-        sub = (sub - 1) & cell
-    return out
 
 
 def _bit_table(targets) -> list:
@@ -89,7 +60,7 @@ _BY_COLUMN = _bit_table([3 * (2 - b % 3) + b // 3 for b in range(9)])
 
 
 class CellComplex233:
-    """Six 2-cells as grid masks, one per type, with closure bookkeeping."""
+    """Six 2-cells as grid masks, one per type."""
 
     __slots__ = ("cells",)
 
@@ -121,7 +92,7 @@ class CellComplex233:
         """No 1-cell lies in more than two of the six 2-cells."""
         once = twice = thrice = 0
         for cell in self.cells:
-            edges = _faces(cell, 1)
+            edges = product_cells(cell, 3, 3)[1]
             thrice |= twice & edges
             twice |= once & edges
             once |= edges
@@ -137,43 +108,19 @@ class CellComplex233:
         return "CellComplex233(%r)" % (self.cells,)
 
 
-CANDIDATE_SPACE = 9 ** 3 * 27 ** 3  # size of the raw scan
+CANDIDATE_SPACE = 9 ** 3 * 27 ** 3  # one cell per type; kept for perfbench's hit ratio
+_SLOTS = itemgetter(*[u_set(3, 3).index(tuple(2 - tj for tj in t)) for t in TYPES])
 
 
 @lru_cache(maxsize=1)
 def enumerate_h33() -> tuple:
-    """All admissible complexes, by exhaustive scan with monotone pruning.
-
-    Closure counts only grow as cells are added, so partial choices whose
-    0-cell or 1-cell count already exceeds the targets 10 and 15, or can
-    no longer reach them, are cut; a full choice that is left meets both
-    exactly.  Slot k draws only from `cells_of_type(TYPES[k])`, so every
-    complex found is valid by construction and is built unchecked.
+    """All admissible complexes, `borel.monomial_points(3, 3)` with their
+    cells in slot order, sorted by key.  Each slot holds a cell of its
+    type, so every complex is valid by construction and built unchecked.
     """
-    slot_data = [[(cell, _faces(cell, 0), _faces(cell, 1)) for cell in cells_of_type(t)]
-                 for t in TYPES]
-    # most new 0-cells (and as many 1-cells) slot k adds: 3 for a triangle,
-    # 4 for a square
-    most = [3, 3, 3, 4, 4, 4]
-    suffix = [sum(most[k:]) for k in range(7)]
-    found = []
-
-    def walk(level, vmask, emask, cells):
-        if level == 5:
-            # the last slot closes flat: both counts must be met exactly
-            for cell, vm, em in slot_data[5]:
-                if (vmask | vm).bit_count() == 10 and (emask | em).bit_count() == 15:
-                    found.append(CellComplex233._unchecked(cells + (cell,)))
-            return
-        rest = suffix[level + 1]
-        for cell, vm, em in slot_data[level]:
-            nv = vmask | vm
-            ne = emask | em
-            if 10 - rest <= nv.bit_count() <= 10 and 15 - rest <= ne.bit_count() <= 15:
-                walk(level + 1, nv, ne, cells + (cell,))
-
-    walk(0, 0, 0, ())
-    return tuple(found)
+    census = [CellComplex233._unchecked(_SLOTS(cells)) for cells in monomial_points(3, 3)]
+    census.sort(key=CellComplex233.key)  # the points are freed by now
+    return tuple(census)
 
 
 def complex_to_ideal(cx: CellComplex233) -> MonomialIdeal:
@@ -225,11 +172,9 @@ class SymmetryClass:
     stabilizer_order: int
 
 
-def symmetry_classes(complexes=None) -> list:
+def symmetry_classes(complexes) -> list:
     """Orbits of the census under the order-1296 group, in key order of
     their representatives, the least complex of each orbit."""
-    if complexes is None:
-        complexes = enumerate_h33()
     universe = set(complexes)
     group = symmetry_group()
     unseen = set(universe)
@@ -279,12 +224,10 @@ class Table1Report:
         return sum(r.orbit_size for r in self.rows)
 
 
-def table1_report(classes=None) -> Table1Report:
+def table1_report(classes) -> Table1Report:
     """Per-class tangent dimension, planarity and stabilizer order,
     compared against the published census as a multiset."""
     from .tangent import tangent_dimension
-    if classes is None:
-        classes = symmetry_classes()
     rows = []
     for cl in classes:
         ideal = complex_to_ideal(cl.representative)

@@ -1,16 +1,22 @@
 """The distinguished ideal: primes, intersection, shelling, h-polynomial."""
 
-from math import comb
+from itertools import product
+from math import comb, factorial
 from random import Random
 
 import pytest
 
+from hilbdiag import borel
 from hilbdiag.borel import (ShellingError, build_z, facet_of, h_closed_form,
-                            is_borel_fixed, shelling, shelling_h_polynomial,
-                            shelling_order_check, u_set, z_generators_direct)
-from hilbdiag.gridcore import (Monomial, MonomialIdeal, hf_at,
-                               series_equals_diagonal, stanley_reisner,
+                            is_borel_fixed, monomial_points, shelling,
+                            shelling_h_polynomial, shelling_order_check, u_set,
+                            z_generators_direct)
+from hilbdiag.gridcore import (KPolynomial, Monomial, MonomialIdeal,
+                               _column_masks, complex_to_ideal,
+                               diagonal_k_polynomial, face_profile_counts,
+                               hf_at, series_equals_diagonal, stanley_reisner,
                                target_hf, unpack)
+from hilbdiag.treespace import enumerate_trees, tree_to_ideal
 
 
 def z_u(d, n, u):
@@ -265,3 +271,67 @@ def test_series_and_hilbert_function_of_z():
         assert series_equals_diagonal(z)
         for u in [(0,) * n, (1,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)]:
             assert hf_at(z, u) == target_hf(d, u)
+
+
+# ---------------------------------------------------------------------------
+# the monomial points of H_{d,n}
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_monomial_points_at_d2_are_the_tree_ideals(n):
+    ideals = [complex_to_ideal(facets, 2, n) for facets in monomial_points(2, n)]
+    assert len(set(ideals)) == len(ideals)
+    assert set(ideals) == {tree_to_ideal(t) for t in enumerate_trees(n)}
+
+
+@pytest.mark.parametrize("d,n,count", [
+    *[(2, n, 2 ** n * (n + 1) ** (n - 2)) for n in range(2, 6)],
+    *[(d, 2, factorial(d) ** 2) for d in (1, 3, 4, 5)]])
+def test_monomial_point_counts(d, n, count):
+    assert len(monomial_points(d, n)) == count
+
+
+def _check_points(d, n, points):
+    """One facet per type, with the facet of type u taking d - u_j rows of
+    column j, and the diagonal's Hilbert series."""
+    cols = _column_masks(d, n)
+    shapes = [[d - uj for uj in u] for u in u_set(d, n)]
+    for facets in points:
+        assert [[(f & c).bit_count() for c in cols] for f in facets] == shapes
+        assert series_equals_diagonal(complex_to_ideal(facets, d, n)), facets
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
+def test_monomial_points_have_the_diagonal_series(d, n):
+    _check_points(d, n, monomial_points(d, n))
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (5, 2)])
+def test_sampled_monomial_points_have_the_diagonal_series(d, n):
+    _check_points(d, n, Random(26).sample(monomial_points(d, n), 300))
+
+
+def _one_more_face(kpoly, d, profile, shift):
+    """kpoly plus shift times the K-polynomial of one face with the given
+    column profile, prod_j t_j^c_j (1-t_j)^(d-c_j)."""
+    terms = dict(kpoly.terms)
+    for w in product(*[range(c, d + 1) for c in profile]):
+        coeff = shift
+        for c, wj in zip(profile, w):
+            coeff *= (-1) ** (wj - c) * comb(d - c, wj - c)
+        terms[w] = terms.get(w, 0) + coeff
+    return KPolynomial(len(profile), terms)
+
+
+@pytest.mark.parametrize("profile,shift", [((1, 1, 1), 1), ((1, 1, 1), -1),
+                                           ((1, 2, 1), 1), ((2, 1, 1), -1)])
+def test_a_wrong_face_count_target_changes_the_points(monkeypatch, profile,
+                                                       shift):
+    right = monomial_points(3, 3)
+    kpoly = diagonal_k_polynomial(3, 3)
+    wrong = _one_more_face(kpoly, 3, profile, shift)
+    before = face_profile_counts(kpoly, 3)
+    moved = {c: f - before[c] for c, f in face_profile_counts(wrong, 3).items()
+             if f != before[c]}
+    assert moved == {profile: shift}
+    monkeypatch.setattr(borel, "diagonal_k_polynomial", lambda d, n: wrong)
+    assert monomial_points(3, 3) != right

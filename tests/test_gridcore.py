@@ -10,8 +10,9 @@ from math import comb
 import pytest
 
 from hilbdiag.gridcore import (KPolynomial, Monomial, MonomialIdeal,
-                               complex_to_ideal, diagonal_k_polynomial, hf_at,
-                               k_polynomial, monomials_of_degree, multidegree,
+                               complex_to_ideal, diagonal_k_polynomial,
+                               face_profile_counts, hf_at, k_polynomial,
+                               monomials_of_degree, multidegree,
                                multidegree_of_ideal, pack,
                                series_equals_diagonal, stanley_reisner,
                                target_hf, unpack)
@@ -169,9 +170,8 @@ def test_k_polynomial_examples():
     assert k_polynomial(build_z(2, 3)) == k_polynomial(chain_ideal(2, 3))
 
 
-def reference_k_polynomial(ideal):
-    """K-polynomial by expanding prod_j t_j^c_j (1-t_j)^(d-c_j) term by
-    term for every column profile c of the faces."""
+def reference_profiles(ideal):
+    """The number of faces of each column profile c, by listing every face."""
     d, n = ideal.d, ideal.n
     faces = set()
     for facet in stanley_reisner(ideal):
@@ -186,6 +186,12 @@ def reference_k_polynomial(ideal):
     for face in faces:
         c = tuple((face & m).bit_count() for m in cols)
         profiles[c] = profiles.get(c, 0) + 1
+    return profiles
+
+
+def reference_k_polynomial(d, n, profiles):
+    """K-polynomial by expanding prod_j t_j^c_j (1-t_j)^(d-c_j) term by
+    term for every column profile c of the faces."""
     terms = {}
     for c, cnt in profiles.items():
         for w in product(*[range(cj, d + 1) for cj in c]):
@@ -212,7 +218,13 @@ ORACLE_IDEALS = {
 @pytest.mark.parametrize("family", sorted(ORACLE_IDEALS))
 def test_k_polynomial_matches_reference(family):
     for ideal in ORACLE_IDEALS[family]():
-        assert k_polynomial(ideal) == reference_k_polynomial(ideal), ideal
+        kpoly = k_polynomial(ideal)
+        profiles = reference_profiles(ideal)
+        assert kpoly == reference_k_polynomial(ideal.d, ideal.n, profiles), ideal
+        # and the inverse transform gives the face counts back
+        assert face_profile_counts(kpoly, ideal.d) == {
+            c: profiles.get(c, 0)
+            for c in product(range(ideal.d + 1), repeat=ideal.n)}, ideal
 
 
 def test_hf_at_examples():

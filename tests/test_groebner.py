@@ -529,7 +529,9 @@ def test_alexander_dual_involution_on_trees():
 
 def test_graded_piece_examples():
     R = grid_ring(2, 2)
-    assert graded_piece_dim([], (2, 1), ring=R) == 6
+    with pytest.raises(ValueError, match="^graded_piece_dim needs at least "
+                                         "one generator$"):
+        graded_piece_dim([], (2, 1))
     assert graded_piece_dim(minors_ideal(2, 2, R), (1, 1)) == 3
     R33 = grid_ring(3, 3)
     assert graded_piece_dim(minors_ideal(3, 3, R33), (1, 1, 1)) == 10

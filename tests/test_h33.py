@@ -1,22 +1,36 @@
 """The census of monomial ideals on the 3 x 3 grid."""
 
 from functools import reduce
+from itertools import product
 from operator import and_, or_
 from random import Random
 
 import pytest
 
-from hilbdiag.borel import build_z
+from hilbdiag.borel import build_z, product_cells
 from hilbdiag.gridcore import (Monomial, MonomialIdeal, series_equals_diagonal,
                                stanley_reisner)
 from hilbdiag.h33 import (CANDIDATE_SPACE, EXPECTED_CLASS_DATA, CellComplex233,
-                          TYPES, _COLUMNS, _faces, _type, act, cells_of_type,
-                          complex_to_ideal,
+                          TYPES, _COLUMNS, _type, act, complex_to_ideal,
                           cubic_family_ideal, enumerate_h33,
                           hilbert_function_check, rep_ideal_extra13,
                           rep_ideal_extra14, symmetry_classes, symmetry_group,
                           table1_report)
 from hilbdiag.tangent import chain_ideal
+
+
+def cells_of_type(t):
+    """The grid masks of all product cells of type t, in key order."""
+    # a column's row subsets of one size, in increasing mask order
+    factors = [[m for m in range(1 << 9) if m & ~c == 0 and m.bit_count() == tj + 1]
+               for c, tj in zip(_COLUMNS, t)]
+    return [a | b | c for a, b, c in product(*factors)]
+
+
+@pytest.fixture(scope="module")
+def census_ideals():
+    """The ideal of every census complex, in census order, built once."""
+    return [complex_to_ideal(cx) for cx in enumerate_h33()]
 
 
 def test_candidate_space_size():
@@ -71,7 +85,7 @@ def test_census_matches_reference_scan_in_order():
 def test_dense_faces_renumber_the_grid_mask_faces():
     for dim, types in ((0, [(0, 0, 0)]), (1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])):
         faces = [f for t in types for f in cells_of_type(t)]
-        bit = {f: _faces(f, dim) for f in faces}
+        bit = {f: product_cells(f, 3, 3)[dim] for f in faces}
         # one bit each, all distinct and dense: a renumbering of the faces
         assert all(b.bit_count() == 1 for b in bit.values())
         assert len(set(bit.values())) == len(faces) == (27, 81)[dim]
@@ -79,13 +93,13 @@ def test_dense_faces_renumber_the_grid_mask_faces():
         for t in TYPES:
             for cell in cells_of_type(t):
                 grid = _grid_mask_faces(cell, dim)
-                assert _faces(cell, dim) == reduce(
+                assert product_cells(cell, 3, 3)[dim] == reduce(
                     or_, (bit[f] for f in faces if grid >> f & 1), 0)
 
 
 def _closure(cx, dim):
     """The dim-dimensional cells of the closure, one bit per face."""
-    return reduce(or_, (_faces(cell, dim) for cell in cx.cells))
+    return reduce(or_, (product_cells(cell, 3, 3)[dim] for cell in cx.cells))
 
 
 def test_census_closure_counts():
@@ -98,7 +112,7 @@ def test_census_closure_counts():
 
 def squares_share_point(cx) -> bool:
     """The three cells of type (1, 1, 0) up to order have a common 0-cell."""
-    return reduce(and_, (_faces(cell, 0) for cell in cx.cells[3:])) != 0
+    return reduce(and_, (product_cells(cell, 3, 3)[0] for cell in cx.cells[3:])) != 0
 
 
 def test_squares_share_a_common_point():
@@ -119,15 +133,14 @@ def test_complex_to_ideal_facets():
         assert set(stanley_reisner(ideal)) == brute == set(cx.cells)
 
 
-def test_z_and_chain_are_in_the_census():
-    ideals = {complex_to_ideal(cx) for cx in enumerate_h33()}
+def test_z_and_chain_are_in_the_census(census_ideals):
+    ideals = set(census_ideals)
     assert build_z(3, 3) in ideals
     assert chain_ideal(3, 3) in ideals
 
 
-def test_census_ideals_distinct():
-    ideals = {complex_to_ideal(cx) for cx in enumerate_h33()}
-    assert len(ideals) == 13824
+def test_census_ideals_distinct(census_ideals):
+    assert len(set(census_ideals)) == 13824
 
 
 def test_sampled_census_ideals_have_right_series():
@@ -205,24 +218,24 @@ def _renamed(ideal, g):
         for m in ideal.gens])
 
 
-def test_action_renames_the_ideal_variables():
+def test_action_renames_the_ideal_variables(census_ideals):
     census = enumerate_h33()
     group = symmetry_group()
     z = build_z(3, 3)
     chain = chain_ideal(3, 3)
-    special = [cx for cx in census if complex_to_ideal(cx) in (z, chain)]
-    for cx in special + [census[0]]:
-        ideal = complex_to_ideal(cx)
+    special = [(cx, ideal) for cx, ideal in zip(census, census_ideals)
+               if ideal in (z, chain)]
+    for cx, ideal in special + [(census[0], census_ideals[0])]:
         for g in group:
             assert complex_to_ideal(act(cx, g)) == _renamed(ideal, g)
     rng = Random(8)
-    for cx in census[::41]:
+    for cx, ideal in zip(census[::41], census_ideals[::41]):
         g = rng.choice(group)
-        assert complex_to_ideal(act(cx, g)) == _renamed(complex_to_ideal(cx), g)
+        assert complex_to_ideal(act(cx, g)) == _renamed(ideal, g)
 
 
 def test_symmetry_classes():
-    classes = symmetry_classes()
+    classes = symmetry_classes(enumerate_h33())
     assert len(classes) == 16
     assert sum(c.orbit_size for c in classes) == 13824
     stabs = sorted(c.stabilizer_order for c in classes)
@@ -232,7 +245,7 @@ def test_symmetry_classes():
 
 
 def test_symmetry_class_sizes_in_key_order():
-    classes = symmetry_classes()
+    classes = symmetry_classes(enumerate_h33())
     keys = [c.representative.key() for c in classes]
     assert keys == sorted(keys)
     assert [(c.orbit_size, c.stabilizer_order) for c in classes] == [
@@ -249,7 +262,7 @@ def test_symmetry_classes_reject_an_unstable_census():
 
 
 def test_table_report_matches_published_census():
-    report = table1_report()
+    report = table1_report(symmetry_classes(enumerate_h33()))
     assert report.matches_published
     assert report.total == 13824
     planar = [r for r in report.rows if r.planar]
@@ -261,12 +274,12 @@ def test_table_report_matches_published_census():
     assert sorted(r.planar for r in special) == [False, True]
 
 
-def test_borel_fixed_ideal_sits_in_the_most_symmetric_class():
+def test_borel_fixed_ideal_sits_in_the_most_symmetric_class(census_ideals):
     # Z has the order-6 stabilizer, tangent dimension 18, and a non-planar
     # complex (one edge of its complex lies in three 2-cells)
     z = build_z(3, 3)
     census = enumerate_h33()
-    zcx = next(cx for cx in census if complex_to_ideal(cx) == z)
+    zcx = census[census_ideals.index(z)]
     assert not zcx.is_planar()
     orbit = {act(zcx, g).key() for g in symmetry_group()}
     assert len(orbit) == 216 and 1296 // len(orbit) == 6

@@ -8,7 +8,7 @@ import pytest
 from hilbdiag.borel import build_z
 from hilbdiag.gridcore import (Monomial, MonomialIdeal, Packing,
                                monomials_of_degree, multidegree)
-from hilbdiag.h33 import complex_to_ideal, symmetry_classes
+from hilbdiag.h33 import complex_to_ideal, enumerate_h33, symmetry_classes
 from hilbdiag.tangent import (GradedHom, chain_basis, chain_ideal,
                               syzygy_system, tangent_dimension, verify_basis)
 from hilbdiag.treespace import enumerate_trees, tree_to_ideal
@@ -103,7 +103,7 @@ def test_syzygy_system_matches_reference_on_z(d, n):
 
 
 def test_syzygy_system_matches_reference_on_census_classes():
-    classes = symmetry_classes()
+    classes = symmetry_classes(enumerate_h33())
     assert len(classes) == 16
     for c in classes:
         _assert_same_system(complex_to_ideal(c.representative))
