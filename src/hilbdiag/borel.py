@@ -12,14 +12,24 @@ are the minimal transversals of those differences.
 
 Every monomial point of the scheme is radical: the Stanley-Reisner ideal
 of a complex with one facet of the shape of F_u per type u, whose face
-counts `monomial_points` reads off the diagonal K-polynomial.
+counts `monomial_points` reads off the diagonal K-polynomial.  A point is
+the tuple of its facets in `u_set` order.
+
+The relabeling group (S_d)^n x| S_n, of order n! (d!)^n, permutes the rows
+within each column and the columns themselves, so it acts on the points by
+permuting grid bits.  An element moves column j's part of a facet,
+`facet >> j & base` with row a at bit an, by one table lookup: there are
+d! n tables, one per row permutation and target column.  A facet's image
+is the OR of n lookups.  It keeps each column's row count, so its type is
+u with the entries moved with the columns, and the images fill the slots
+in an order that depends on the column permutation alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 from .gridcore import (Monomial, MonomialIdeal, _column_masks,
@@ -94,6 +104,60 @@ def monomial_points(d: int, n: int) -> tuple:
     walk(0, 0, 0, ())
     del walk  # its closure holds it: free `found` on return, not at the next gc
     return tuple(found)
+
+
+# ---------------------------------------------------------------------------
+# the relabeling group (S_d)^n x| S_n
+
+@lru_cache(maxsize=None)
+def symmetry_group(d: int, n: int) -> list:
+    """All (column permutation, per-column row permutations) elements, the
+    column permutation outer."""
+    rows = list(permutations(range(d)))
+    return [(pi, rhos) for pi in permutations(range(n))
+            for rhos in product(rows, repeat=n)]
+
+
+def _bit_table(targets) -> list:
+    """The image of every mask below 2^len(targets) when bit b moves to bit
+    targets[b]; a bit whose target is None is dropped."""
+    table = [0]
+    for t in targets:
+        table += table if t is None else [m | 1 << t for m in table]
+    return table
+
+
+@lru_cache(maxsize=None)
+def _action_tables(d: int, n: int) -> tuple:
+    """The rows of column 0 as a mask, `base`; moved[rho][c], a column's
+    part once rho permutes its rows and it lands in column c; and slots[pi],
+    where the image of each facet goes: moving the columns by pi takes the
+    facet of type u to the slot of the type v with v[pi[j]] = u[j]."""
+    base = sum(1 << a * n for a in range(d))
+    moved = {rho: [_bit_table([rho[b // n] * n + c if b % n == 0 else None
+                               for b in range((d - 1) * n + 1)]) for c in range(n)]
+             for rho in permutations(range(d))}
+    us = u_set(d, n)
+    slot = {u: k for k, u in enumerate(us)}
+    slots = {pi: [slot[tuple(u[pi.index(c)] for c in range(n))] for u in us]
+             for pi in permutations(range(n))}
+    return base, moved, slots
+
+
+def act(points: tuple, g, d: int, n: int) -> tuple:
+    """Image of a point under g = (pi, rhos): row a of column j goes to row
+    rhos[j][a] of column pi[j], so bit an + j moves to bit n rhos[j][a] + pi[j]."""
+    pi, rhos = g
+    base, moved, slots = _action_tables(d, n)
+    tables = [moved[rho][c] for rho, c in zip(rhos, pi)]
+    images = [0] * len(points)
+    for facet, k in zip(points, slots[pi]):
+        image = 0
+        for table in tables:  # column j's part is facet >> j & base
+            image |= table[facet & base]
+            facet >>= 1
+        images[k] = image
+    return tuple(images)
 
 
 def build_z(d: int, n: int) -> MonomialIdeal:

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from random import Random
 
 from . import borel, embeddings, groebner, h33, tangent, treespace, verify
 from .gridcore import MonomialIdeal, k_polynomial, multidegree_of_ideal, unpack
@@ -265,7 +266,6 @@ def cmd_gin(args):
 
 
 def cmd_collineations(args):
-    from random import Random
     rng = Random(args.seed)
     out = []
     for k in range(args.sample):

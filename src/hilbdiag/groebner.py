@@ -40,6 +40,7 @@ from math import lcm
 from operator import add, le, mul, sub
 from random import Random
 
+from .borel import build_z
 from .gridcore import (Monomial, MonomialIdeal, monomials_of_degree,
                        multidegree, series_equals_diagonal, var_name)
 from .linalg import rank_sparse
@@ -724,7 +725,6 @@ def gin_sample(d, n, trials, seed, borel_trials=None) -> GinReport:
     wide entry range of random_invertible's "borel" shape, not from the
     weights.
     """
-    from .borel import build_z
     rng = Random(seed)
     report = GinReport(d=d, n=n, seed=seed)
     z_ref = build_z(d, n)

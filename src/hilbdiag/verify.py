@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 from random import Random
 
@@ -302,7 +303,6 @@ def verify_all(only=None) -> int:
 
 
 def _degrees_up_to(n, bound):
-    from itertools import product
     for u in product(range(bound + 1), repeat=n):
         if sum(u) <= bound:
             yield u

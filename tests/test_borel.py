@@ -7,9 +7,10 @@ from random import Random
 import pytest
 
 from hilbdiag import borel
-from hilbdiag.borel import (ShellingError, build_z, facet_of, h_closed_form,
-                            is_borel_fixed, monomial_points, shelling,
-                            shelling_h_polynomial, shelling_order_check, u_set,
+from hilbdiag.borel import (ShellingError, act, build_z, facet_of,
+                            h_closed_form, is_borel_fixed, monomial_points,
+                            shelling, shelling_h_polynomial,
+                            shelling_order_check, symmetry_group, u_set,
                             z_generators_direct)
 from hilbdiag.gridcore import (KPolynomial, Monomial, MonomialIdeal,
                                _column_masks, complex_to_ideal,
@@ -335,3 +336,65 @@ def test_a_wrong_face_count_target_changes_the_points(monkeypatch, profile,
     assert moved == {profile: shift}
     monkeypatch.setattr(borel, "diagonal_k_polynomial", lambda d, n: wrong)
     assert monomial_points(3, 3) != right
+
+
+# ---------------------------------------------------------------------------
+# the relabeling group (S_d)^n x| S_n
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3),
+                                 (3, 2), (2, 4), (3, 3)])
+def test_symmetry_group_order(d, n):
+    group = symmetry_group(d, n)
+    assert len(group) == len(set(group)) == factorial(n) * factorial(d) ** n
+
+
+def _orbit_count(points, d, n):
+    group = symmetry_group(d, n)
+    unseen = set(points)
+    count = 0
+    while unseen:
+        cx = unseen.pop()
+        orbit = {act(cx, g, d, n) for g in group}
+        assert orbit <= set(points)
+        unseen -= orbit
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("n,orbits", [(2, 1), (3, 2), (4, 3), (5, 6)])
+def test_orbits_at_d2_are_the_unlabelled_trees(n, orbits):
+    # the trees on n + 1 vertices: a point at d = 2 is a tree with n
+    # labelled directed edges, and the group relabels and reverses them
+    assert _orbit_count(monomial_points(2, n), 2, n) == orbits
+
+
+def _random_point(rng, d, n):
+    """A facet of each type u, d - u_j random rows of column j: a complex
+    with the slot shapes, not in general a monomial point."""
+    return tuple(sum(1 << i * n + j for j, uj in enumerate(u)
+                     for i in rng.sample(range(d), d - uj))
+                 for u in u_set(d, n))
+
+
+def _renamed(ideal, g, d, n):
+    """The ideal with grid variable (a+1, j+1) renamed (rhos[j][a]+1, pi[j]+1)."""
+    pi, rhos = g
+    return MonomialIdeal(d, n, [
+        Monomial({(rhos[j - 1][i - 1] + 1, pi[j - 1] + 1): e for (i, j), e in m.exps})
+        for m in ideal.gens])
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
+def test_action_renames_the_ideal_variables(d, n):
+    rng = Random(27)
+    cols = _column_masks(d, n)
+    shapes = [[d - uj for uj in u] for u in u_set(d, n)]
+    for _ in range(40):
+        cx = _random_point(rng, d, n)
+        # drawn directly: (4,3)'s group has 82944 elements
+        g = (tuple(rng.sample(range(n), n)),
+             tuple(tuple(rng.sample(range(d), d)) for _ in range(n)))
+        image = act(cx, g, d, n)
+        assert [[(f & c).bit_count() for c in cols] for f in image] == shapes
+        assert complex_to_ideal(image, d, n) == _renamed(
+            complex_to_ideal(cx, d, n), g, d, n)

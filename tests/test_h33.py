@@ -7,16 +7,36 @@ from random import Random
 
 import pytest
 
-from hilbdiag.borel import build_z, product_cells
-from hilbdiag.gridcore import (Monomial, MonomialIdeal, series_equals_diagonal,
-                               stanley_reisner)
-from hilbdiag.h33 import (CANDIDATE_SPACE, EXPECTED_CLASS_DATA, CellComplex233,
-                          TYPES, _COLUMNS, _type, act, complex_to_ideal,
+from hilbdiag.borel import act, build_z, product_cells, symmetry_group, u_set
+from hilbdiag.gridcore import (Monomial, MonomialIdeal, _column_masks,
+                               series_equals_diagonal, stanley_reisner)
+from hilbdiag.h33 import (CANDIDATE_SPACE, EXPECTED_CLASS_DATA, complex_to_ideal,
                           cubic_family_ideal, enumerate_h33,
-                          hilbert_function_check, rep_ideal_extra13,
-                          rep_ideal_extra14, symmetry_classes, symmetry_group,
-                          table1_report)
+                          hilbert_function_check, is_planar, key,
+                          rep_ideal_extra13, rep_ideal_extra14,
+                          symmetry_classes, table1_report)
 from hilbdiag.tangent import chain_ideal
+
+_COLUMNS = _column_masks(3, 3)
+# the cell type of each slot of a complex, in `u_set` order
+TYPES = [tuple(2 - uj for uj in u) for u in u_set(3, 3)]
+# the slots in the order the census key reads them
+KEY_ORDER = (0, 3, 5, 1, 2, 4)
+
+
+def _type(cell):
+    """The cell's dimension in each factor: its column profile minus one."""
+    return tuple((cell & c).bit_count() - 1 for c in _COLUMNS)
+
+
+def _random_complex(rng):
+    """A cell of its type in every slot, not in general a census complex."""
+    return tuple(rng.choice(cells_of_type(t)) for t in TYPES)
+
+
+def test_key_reads_the_slots_by_type():
+    assert [TYPES[k] for k in KEY_ORDER] == [
+        (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
 def cells_of_type(t):
@@ -35,7 +55,7 @@ def census_ideals():
 
 def test_candidate_space_size():
     assert CANDIDATE_SPACE == 14348907
-    sizes = [len(cells_of_type(t)) for t in TYPES]
+    sizes = [len(cells_of_type(TYPES[k])) for k in KEY_ORDER]
     assert sizes == [9, 9, 9, 27, 27, 27]
 
 
@@ -56,16 +76,21 @@ def _grid_mask_faces(cell, dim):
 
 def _enumerate_reference():
     """The census by a recursive scan over closures kept one bit per grid
-    mask, with the same pruning and every complex checked."""
+    mask, with the same pruning and every complex checked.  It fills the
+    slots in key order, so it finds the complexes in key order."""
     slot_data = [[(cell, _grid_mask_faces(cell, 0), _grid_mask_faces(cell, 1))
-                  for cell in cells_of_type(t)] for t in TYPES]
+                  for cell in cells_of_type(TYPES[k])] for k in KEY_ORDER]
     most = [3, 3, 3, 4, 4, 4]
     suffix = [sum(most[k:]) for k in range(7)]
     found = []
 
     def walk(level, vmask, emask, cells):
         if level == 6:
-            found.append(CellComplex233(cells))
+            placed = [None] * 6
+            for k, cell in zip(KEY_ORDER, cells):
+                placed[k] = cell
+            assert [_type(cell) for cell in placed] == TYPES
+            found.append(tuple(placed))
             return
         rest = suffix[level + 1]
         for cell, vm, em in slot_data[level]:
@@ -99,7 +124,7 @@ def test_dense_faces_renumber_the_grid_mask_faces():
 
 def _closure(cx, dim):
     """The dim-dimensional cells of the closure, one bit per face."""
-    return reduce(or_, (product_cells(cell, 3, 3)[dim] for cell in cx.cells))
+    return reduce(or_, (product_cells(cell, 3, 3)[dim] for cell in cx))
 
 
 def test_census_closure_counts():
@@ -112,7 +137,8 @@ def test_census_closure_counts():
 
 def squares_share_point(cx) -> bool:
     """The three cells of type (1, 1, 0) up to order have a common 0-cell."""
-    return reduce(and_, (product_cells(cell, 3, 3)[0] for cell in cx.cells[3:])) != 0
+    return reduce(and_, (product_cells(cell, 3, 3)[0] for cell in cx
+                         if max(_type(cell)) == 1)) != 0
 
 
 def test_squares_share_a_common_point():
@@ -130,7 +156,7 @@ def test_complex_to_ideal_facets():
                  if not any(s & ~f == 0 for s in supports)]
         brute = {f for f in faces
                  if not any(f != g and f & ~g == 0 for g in faces)}
-        assert set(stanley_reisner(ideal)) == brute == set(cx.cells)
+        assert set(stanley_reisner(ideal)) == brute == set(cx)
 
 
 def test_z_and_chain_are_in_the_census(census_ideals):
@@ -149,20 +175,19 @@ def test_sampled_census_ideals_have_right_series():
 
 
 def test_symmetry_group_order():
-    assert len(symmetry_group()) == 1296
+    assert len(symmetry_group(3, 3)) == 1296
 
 
 def test_key_orders_cells_column_by_column():
     rng = Random(25)
-    sample = [CellComplex233([rng.choice(cells_of_type(t)) for t in TYPES])
-              for _ in range(1000)] + list(enumerate_h33()[::7])
+    sample = [_random_complex(rng) for _ in range(1000)] + list(enumerate_h33()[::7])
     rng.shuffle(sample)
 
     def reference(cx):
-        return tuple(cell & c for cell in cx.cells for c in _COLUMNS)
-    assert sorted(sample, key=CellComplex233.key) == sorted(sample, key=reference)
-    assert len({cx.key() for cx in sample}) == len({reference(cx) for cx in sample})
-    keys = [cx.key() for cx in enumerate_h33()]
+        return tuple(cx[k] & c for k in KEY_ORDER for c in _COLUMNS)
+    assert sorted(sample, key=key) == sorted(sample, key=reference)
+    assert len({key(cx) for cx in sample}) == len({reference(cx) for cx in sample})
+    keys = [key(cx) for cx in enumerate_h33()]
     assert keys == sorted(keys)
 
 
@@ -172,42 +197,42 @@ def _act_reference(cx, g):
     pi, rhos = g
     target = [1 << 3 * rhos[j][a] + pi[j] for a in range(3) for j in range(3)]
     placed = [None] * 6
-    for cell in cx.cells:
+    for cell in cx:
         img = 0
         for bit, moved in enumerate(target):
             if cell >> bit & 1:
                 img |= moved
         placed[TYPES.index(_type(img))] = img
-    return CellComplex233(placed)
+    return tuple(placed)
 
 
 def test_action_matches_reference():
     census = enumerate_h33()
-    group = symmetry_group()
-    special = [CellComplex233(sorted(stanley_reisner(ideal),
-                                     key=lambda cell: TYPES.index(_type(cell))))
+    group = symmetry_group(3, 3)
+    special = [tuple(sorted(stanley_reisner(ideal),
+                            key=lambda cell: TYPES.index(_type(cell))))
                for ideal in (build_z(3, 3), chain_ideal(3, 3))]
     assert all(cx in census for cx in special)
     rng = Random(25)
     for cx in special + [census[0]]:
         for g in group:
-            assert act(cx, g) == _act_reference(cx, g)
+            assert act(cx, g, 3, 3) == _act_reference(cx, g)
     for cx in rng.sample(census, 200):
         for g in rng.sample(group, 20):
-            assert act(cx, g) == _act_reference(cx, g)
+            assert act(cx, g, 3, 3) == _act_reference(cx, g)
     # complexes outside the census too: any cells of the slot types
     for _ in range(200):
-        cx = CellComplex233([rng.choice(cells_of_type(t)) for t in TYPES])
+        cx = _random_complex(rng)
         g = rng.choice(group)
-        assert act(cx, g) == _act_reference(cx, g)
+        assert act(cx, g, 3, 3) == _act_reference(cx, g)
 
 
 def test_group_action_is_well_defined():
     census = enumerate_h33()
-    keys = {cx.key() for cx in census}
-    g = symmetry_group()[123]
+    members = set(census)
+    g = symmetry_group(3, 3)[123]
     for cx in census[::997]:
-        assert act(cx, g).key() in keys
+        assert act(cx, g, 3, 3) in members
 
 
 def _renamed(ideal, g):
@@ -220,18 +245,18 @@ def _renamed(ideal, g):
 
 def test_action_renames_the_ideal_variables(census_ideals):
     census = enumerate_h33()
-    group = symmetry_group()
+    group = symmetry_group(3, 3)
     z = build_z(3, 3)
     chain = chain_ideal(3, 3)
     special = [(cx, ideal) for cx, ideal in zip(census, census_ideals)
                if ideal in (z, chain)]
     for cx, ideal in special + [(census[0], census_ideals[0])]:
         for g in group:
-            assert complex_to_ideal(act(cx, g)) == _renamed(ideal, g)
+            assert complex_to_ideal(act(cx, g, 3, 3)) == _renamed(ideal, g)
     rng = Random(8)
     for cx, ideal in zip(census[::41], census_ideals[::41]):
         g = rng.choice(group)
-        assert complex_to_ideal(act(cx, g)) == _renamed(ideal, g)
+        assert complex_to_ideal(act(cx, g, 3, 3)) == _renamed(ideal, g)
 
 
 def test_symmetry_classes():
@@ -246,7 +271,7 @@ def test_symmetry_classes():
 
 def test_symmetry_class_sizes_in_key_order():
     classes = symmetry_classes(enumerate_h33())
-    keys = [c.representative.key() for c in classes]
+    keys = [key(c.representative) for c in classes]
     assert keys == sorted(keys)
     assert [(c.orbit_size, c.stabilizer_order) for c in classes] == [
         (216, 6), (648, 2), (648, 2), (648, 2), (216, 6), (1296, 1),
@@ -280,23 +305,9 @@ def test_borel_fixed_ideal_sits_in_the_most_symmetric_class(census_ideals):
     z = build_z(3, 3)
     census = enumerate_h33()
     zcx = census[census_ideals.index(z)]
-    assert not zcx.is_planar()
-    orbit = {act(zcx, g).key() for g in symmetry_group()}
+    assert not is_planar(zcx)
+    orbit = {act(zcx, g, 3, 3) for g in symmetry_group(3, 3)}
     assert len(orbit) == 216 and 1296 // len(orbit) == 6
-
-
-def test_cell_complex_validation():
-    cells = [cells_of_type(t)[0] for t in TYPES]
-    cx = CellComplex233(cells)
-    assert len(cx.cells) == 6
-    with pytest.raises(ValueError):
-        CellComplex233(cells[:5])
-    with pytest.raises(ValueError):
-        CellComplex233(cells[::-1])  # wrong types per slot
-    # the same low nine bits as a valid cell, but outside the grid
-    for bad in (cells[0] | 1 << 9, cells[0] - (1 << 9)):
-        with pytest.raises(ValueError, match="not a 3x3 grid mask"):
-            CellComplex233([bad] + cells[1:])
 
 
 def test_representative_ideals_quick():
