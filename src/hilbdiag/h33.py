@@ -77,14 +77,14 @@ class SymmetryClass:
 
 
 def symmetry_classes(complexes) -> list:
-    """Orbits of the census under the order-1296 group, in key order of
-    their representatives, the least complex of each orbit."""
+    """Orbits of the census under the order-1296 group, in the order the
+    complexes are given; each representative is the first member of its
+    orbit met, for `enumerate_h33()` the least one in key order."""
     universe = set(complexes)
     group = symmetry_group(3, 3)
     unseen = set(universe)
     classes = []
-    # every lesser complex was met first, so each orbit is met at its least
-    for cx in sorted(universe, key=key):
+    for cx in complexes:
         if cx not in unseen:
             continue
         orbit = {act(cx, g, 3, 3) for g in group}

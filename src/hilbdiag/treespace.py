@@ -4,18 +4,21 @@ Monomial ideals in the 2 x n case correspond bijectively to trees on
 n+1 unlabeled vertices carrying n labeled directed edges.  For distinct
 edge labels i, j the symbol z_ij is the variable x_j when edge j points
 away from edge i and y_j otherwise; the ideal of the tree is generated
-by the products z_ij z_ji over label pairs.  Each tree stores its
-complete symbol table once, as the bitmask `tails` (bit i*n + j set when
-z_ij = x_j); the ideal is read off that mask, and the mask is the
-canonical form of the tree, so no graph-canonization machinery is needed.
+by the products z_ij z_ji over label pairs.  A tree is its complete
+symbol table, the bitmask `tails` (bit i*n + j set when z_ij = x_j); the
+ideal is read off that mask, and the mask is the canonical form of the
+tree, so no graph-canonization machinery is needed.  The trees are the
+monomial points of H_{2,n}: `enumerate_trees` reads each table off a
+complex of `borel.monomial_points(2, n)`, and a tree's edges are decoded
+from its table on first use.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
+from .borel import monomial_points
 from .gridcore import Monomial, MonomialIdeal
 
 
@@ -52,11 +55,12 @@ class Tree:
 
     edges[k] = (tail, head) for the edge labeled k+1; vertex names are
     internal only and carry no identity.  `tails` is the symbol table as a
-    bitmask, built once from the parent pointers that validate the tree;
-    equality and hashing read it.
+    bitmask; equality and hashing read it.  `Tree(edges)` builds the mask
+    from the parent pointers that validate the tree; a tree built from a
+    mask decodes its edges on first use, and checks them.
     """
 
-    __slots__ = ("n", "edges", "tails")
+    __slots__ = ("n", "tails", "_edges")
 
     def __init__(self, edges):
         edges = [tuple(e) for e in edges]
@@ -65,11 +69,24 @@ class Tree:
         if len(verts) != self.n + 1:
             raise ValueError("expected %d vertices, got %d" % (self.n + 1, len(verts)))
         relabel = {v: k for k, v in enumerate(verts)}
-        self.edges = tuple((relabel[t], relabel[h]) for t, h in edges)
+        self._edges = tuple((relabel[t], relabel[h]) for t, h in edges)
         parent = _bfs_parents(self.adjacency(), 0)
         if len(parent) != self.n + 1:
             raise ValueError("edges do not form a tree")
-        self.tails = _tails_mask(self.edges, parent)
+        self.tails = _tails_mask(self._edges, parent)
+
+    @classmethod
+    def _from_table(cls, n, tails):
+        """The tree of a symbol table; `edges` decodes and checks it."""
+        tree = cls.__new__(cls)
+        tree.n, tree.tails, tree._edges = n, tails, None
+        return tree
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            self._edges = _tree_of_table(self.n, self.tails)._edges
+        return self._edges
 
     def adjacency(self):
         return _adjacency(self.edges, range(self.n + 1))
@@ -124,59 +141,29 @@ def _tails_mask(edges, parent):
 
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple:
-    """All trees with n labeled directed edges, up to isomorphism.
+    """All trees with n labeled directed edges, up to isomorphism, read off
+    the monomial points of H_{2,n}.
 
-    Vertex-labeled trees on {0..n} are generated from their code
-    sequences; rooting at vertex 0 and pushing each vertex label onto
-    its parent edge yields every edge-labeled tree (n+1 times over), and
-    the 2^n orientations are layered on top.  Deduplication is by the
-    `tails` mask; since the facing endpoints do not depend on
-    orientations, reversing edge k XORs the mask with its column k, and
-    the masks of all 2^n orientations are found without building their
-    trees.  The count is 2^n (n+1)^(n-2).
+    Slot k of `u_set(2, n)` is the type with u_k = 0: its facet holds both
+    rows of column k and one row of every other column j, row 2 exactly
+    when z_kj = x_j.  So row k of the table is the facet's row 2 without
+    column k.  The count is 2^n (n+1)^(n-2).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    flips = [0]  # flips[bits]: the mask change of reversing the edges in bits
-    for k in range(n):
-        column = sum(1 << i * n + k for i in range(n) if i != k)
-        flips += [f ^ column for f in flips]
-    seen = set()
+    full = (1 << n) - 1
     out = []
-    for code in product(range(n + 1), repeat=max(n - 1, 0)):
-        parent = _tree_from_code(code, n)
-        base = [(parent[v], v) for v in range(1, n + 1)]  # edge label v
-        tails = Tree(base).tails
-        for bits, flip in enumerate(flips):
-            if tails ^ flip not in seen:
-                seen.add(tails ^ flip)
-                out.append(Tree([(t, h) if not bits >> k & 1 else (h, t)
-                                 for k, (t, h) in enumerate(base)]))
+    for point in monomial_points(2, n):
+        tails = 0
+        for k, facet in enumerate(point):
+            tails |= (facet >> n & full & ~(1 << k)) << k * n
+        out.append(Tree._from_table(n, tails))
     # key() order without building the keys: the first symbol in which two
     # trees differ decides, and 'x' (a set bit) comes first, so the trees
     # sort by their bit-reversed masks, largest first
     return tuple(sorted(
         out, key=lambda t: int(format(t.tails, "0%db" % (n * n))[::-1], 2),
         reverse=True))
-
-
-def _tree_from_code(code, n):
-    """Parent array (rooted at 0) of the labeled tree with the given
-    Pruefer-style code on vertex set {0..n}."""
-    nv = n + 1
-    degree = [1] * nv
-    for v in code:
-        degree[v] += 1
-    heap = [v for v in range(nv) if degree[v] == 1]
-    edges = []
-    for v in code:
-        edges.append((heapq.heappop(heap), v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(heap, v)
-    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-    parent = _bfs_parents(_adjacency(edges, range(nv)), 0)
-    return [parent[v] for v in range(nv)]
 
 
 def tree_to_ideal(tree: Tree) -> MonomialIdeal:
@@ -214,25 +201,25 @@ def _tails_from_ideal(ideal: MonomialIdeal) -> int:
     return tails
 
 
-def ideal_to_tree(ideal: MonomialIdeal) -> Tree:
-    """Reconstruct the unique tree whose ideal is the given one.
+def _tree_of_table(n: int, tails: int) -> Tree:
+    """The unique tree with the given symbol table.
 
     Two edges are adjacent iff no third edge separates them (all other
-    edges face them on the same side); adjacent edges are glued at the
-    facing endpoints, and the vertices are the connected components of
-    the glued endpoints.  The result is verified by comparing its
-    `tails` mask with the decoded one.
+    edges face them on the same side, so their rows agree off the two);
+    adjacent edges are glued at the facing endpoints, and the vertices are
+    the connected components of the glued endpoints.  The result is
+    verified by comparing its `tails` mask with the given one.
     """
-    n = ideal.n
-    tails = _tails_from_ideal(ideal)
+    full = (1 << n) - 1
+    rows = [tails >> i * n & full for i in range(n)]
 
     def end(k, i):
         # endpoint 2k (tail) or 2k + 1 (head) of edge k facing edge i;
         # the tail faces i iff z_ik = x
-        return 2 * k + 1 - (tails >> i * n + k & 1)
+        return 2 * k + 1 - (rows[i] >> k & 1)
 
     glued = [(end(i, j), end(j, i)) for i, j in combinations(range(n), 2)
-             if all(end(k, i) == end(k, j) for k in range(n) if k not in (i, j))]
+             if not (rows[i] ^ rows[j]) & ~(1 << i | 1 << j)]
     adj = _adjacency(glued, range(2 * n))
     vertex = {}  # endpoint -> the first endpoint of its component
     for e in range(2 * n):
@@ -245,6 +232,11 @@ def ideal_to_tree(ideal: MonomialIdeal) -> Tree:
     if tree.tails != tails:
         raise NotATreeIdeal("reconstructed tree does not match the ideal")
     return tree
+
+
+def ideal_to_tree(ideal: MonomialIdeal) -> Tree:
+    """Reconstruct the unique tree whose ideal is the given one."""
+    return _tree_of_table(ideal.n, _tails_from_ideal(ideal))
 
 
 def vertex_tangent_count(a: int) -> int:

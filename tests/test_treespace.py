@@ -3,8 +3,10 @@ trees of projective lines: the torus-fixed tree ideals and the
 cross-ratio family."""
 
 import hashlib
+import heapq
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,11 +26,98 @@ def quad(ri, i, rj, j):
     return Monomial({(ri, i): 1, (rj, j): 1})
 
 
+def _tree_from_code(code, n):
+    """Parent array (rooted at 0) of the labeled tree with the given
+    Pruefer-style code on vertex set {0..n}."""
+    nv = n + 1
+    degree = [1] * nv
+    for v in code:
+        degree[v] += 1
+    heap = [v for v in range(nv) if degree[v] == 1]
+    edges = []
+    for v in code:
+        edges.append((heapq.heappop(heap), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(heap, v)
+    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
+    parent = _bfs_parents(_adjacency(edges, range(nv)), 0)
+    return [parent[v] for v in range(nv)]
+
+
+def _enumerate_reference(n):
+    """The trees from code sequences, sorted by key: the oracle of
+    enumerate_trees.
+
+    Rooting each vertex-labeled tree on {0..n} at vertex 0 and pushing
+    each vertex label onto its parent edge yields every edge-labeled tree
+    (n+1 times over), and the 2^n orientations are layered on top.
+    Reversing edge k XORs the mask with its column k, so the masks of all
+    orientations are found without building their trees.
+    """
+    flips = [0]  # flips[bits]: the mask change of reversing the edges in bits
+    for k in range(n):
+        column = sum(1 << i * n + k for i in range(n) if i != k)
+        flips += [f ^ column for f in flips]
+    seen = set()
+    out = []
+    for code in product(range(n + 1), repeat=max(n - 1, 0)):
+        parent = _tree_from_code(code, n)
+        base = [(parent[v], v) for v in range(1, n + 1)]  # edge label v
+        tails = Tree(base).tails
+        for bits, flip in enumerate(flips):
+            if tails ^ flip not in seen:
+                seen.add(tails ^ flip)
+                out.append(Tree([(t, h) if not bits >> k & 1 else (h, t)
+                                 for k, (t, h) in enumerate(base)]))
+    return sorted(out, key=Tree.key)
+
+
 def test_enumeration_counts():
     assert len(enumerate_trees(1)) == 1
     assert len(enumerate_trees(2)) == 4
     assert len(enumerate_trees(3)) == 32
     assert len(enumerate_trees(4)) == 400
+    with pytest.raises(ValueError):
+        enumerate_trees(0)
+
+
+def test_enumeration_matches_code_oracle():
+    for n in range(1, 6):
+        assert list(enumerate_trees(n)) == _enumerate_reference(n)
+
+
+def test_decoded_edges_rebuild_the_tree():
+    for n in range(1, 6):
+        for tree in enumerate_trees(n):
+            assert Tree(tree.edges) == tree
+
+
+def test_flipped_table_bit_is_decoded_or_rejected():
+    # a tree's table with one off-diagonal bit flipped is either another
+    # tree's table or no tree's; the decoder tells the two apart both from
+    # an ideal and from a table-built tree
+    rejected = 0
+    for n in (3, 4):
+        tables = {t.tails for t in enumerate_trees(n)}
+        for tree in enumerate_trees(n):
+            for i, j in product(range(n), repeat=2):
+                if i == j:
+                    continue
+                tails = tree.tails ^ 1 << i * n + j
+                flipped = Tree._from_table(n, tails)
+                if tails in tables:
+                    assert Tree(flipped.edges).tails == tails
+                    continue
+                rejected += 1
+                with pytest.raises(NotATreeIdeal):
+                    ideal_to_tree(tree_to_ideal(flipped))
+                with pytest.raises(NotATreeIdeal):
+                    Tree._from_table(n, tails).edges
+    assert rejected
+    # a diagonal bit leaves the gluing as it is: only the final check sees it
+    with pytest.raises(NotATreeIdeal, match="does not match"):
+        Tree._from_table(3, enumerate_trees(3)[0].tails | 1).edges
 
 
 def test_keys_and_enumeration_order_are_pinned():
@@ -39,7 +128,7 @@ def test_keys_and_enumeration_order_are_pinned():
 
 
 def test_reversing_an_edge_flips_its_column():
-    # the orientation trick of enumerate_trees, and no bit on the diagonal
+    # the orientation trick of the code oracle, and no bit on the diagonal
     for tree in enumerate_trees(4):
         n = tree.n
         assert tree.tails >> n * n == 0
